@@ -18,7 +18,6 @@ from .core import (
     forward_transform,
     gram_lag_sums,
     inverse_transform,
-    matrix_gram,
     normalizer,
     orthogonality_report,
     reduce_mod,
@@ -106,7 +105,6 @@ __all__ = [
     "is_prime",
     "largest_prime_factor",
     "load_sequence_file",
-    "matrix_gram",
     "mod_inverse",
     "normalizer",
     "orthogonality_report",

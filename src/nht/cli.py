@@ -111,7 +111,7 @@ def _build_parser() -> _Parser:
 def _load(token: str) -> SequenceFile:
     if token in fixtures.BUNDLED:
         return fixtures.BUNDLED[token]
-    if os.path.exists(token):
+    if os.path.isfile(token):
         return load_sequence_file(token)
     raise _UsageError(f"{token!r} is not a bundled sequence or a readable file")
 

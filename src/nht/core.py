@@ -15,6 +15,9 @@ Whenever a modulus q >= 2 divides every S(k), the matrix satisfies
 N * N^T == r * I (mod q) with r = diagonal mod q, which is what makes
 the forward/inverse block transforms below exact inverses of each other.
 
+The lag sums, the modular correlation series and both block transforms
+are cyclic correlations, all computed by one exact kernel,
+cyclic_correlate (one big-integer multiply by Kronecker substitution).
 All arithmetic is on plain Python integers (no wraparound), and every
 operation here is a pure function on immutable values.
 """
@@ -114,9 +117,6 @@ class CirculantNHT:
         d = self.dimension
         return tuple(first[(j - i) % d] for j in range(d))
 
-    def rows(self) -> list[tuple[int, ...]]:
-        return [self.row(i) for i in range(self.dimension)]
-
 
 @dataclass(frozen=True)
 class GramSummary:
@@ -162,31 +162,37 @@ def build_circulant(g: GeneratorSequence | Sequence[int]) -> CirculantNHT:
     return CirculantNHT(g)
 
 
+def cyclic_correlate(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """c[k] = sum_m a[m] * b[(m + k) mod n] for k in 0..n-1, exactly.
+
+    For equal-length nonnegative integer sequences. Kronecker substitution
+    (Harvey, 2009): reversed(a) and b are packed into one integer each, w
+    bytes per value, and multiplied once. A slot holds n * max(a) * max(b)
+    and every input, so none carries: the top n slots plus the low n-1,
+    moved up one slot, are the wrapped sums.
+    """
+    n = len(a)
+    if len(b) != n:
+        raise ShapeError(f"length mismatch: {n} vs {len(b)}")
+    ma, mb = max(a), max(b)
+    w = (max(n * ma * mb, ma, mb).bit_length() + 7) // 8 or 1
+    pa, pb = (int.from_bytes(b"".join(x.to_bytes(w, "little") for x in v), "little")
+              for v in (reversed(a), b))
+    p, low = pa * pb, 8 * w * (n - 1)
+    c = ((p >> low) + ((p & ((1 << low) - 1)) << 8 * w)).to_bytes(n * w, "little")
+    return [int.from_bytes(c[i:i + w], "little") for i in range(0, n * w, w)]
+
+
 def gram_lag_sums(g: GeneratorSequence | Sequence[int]) -> GramSummary:
     """Diagonal and circular lag sums of a generator, exactly.
 
-    Equivalent to reading N * N^T off the full matrix product, but in
-    O(n^2) integer multiplies instead of O(n^3).
+    Equivalent to reading N * N^T off the full matrix product: the
+    generator's cyclic self-correlation, whose lag 0 is the diagonal.
     """
     if not isinstance(g, GeneratorSequence):
         g = GeneratorSequence(_values(g))
-    v = g.values
-    n = g.n
-    diagonal = sum(x * x for x in v)
-    lags = tuple(
-        sum(v[j] * v[(j + k) % n] for j in range(n)) for k in range(1, n)
-    )
-    return GramSummary(diagonal=diagonal, lag_sums=lags)
-
-
-def matrix_gram(g: GeneratorSequence | Sequence[int]) -> list[list[int]]:
-    """Full N * N^T as exact integers; the slow cross-check for gram_lag_sums."""
-    rows = build_circulant(g).rows()
-    d = len(rows)
-    return [
-        [sum(rows[i][t] * rows[j][t] for t in range(d)) for j in range(d)]
-        for i in range(d)
-    ]
+    c = cyclic_correlate(g.values, g.values)
+    return GramSummary(diagonal=c[0], lag_sums=tuple(c[1:]))
 
 
 def discover_modulus(gram: GramSummary) -> int:
@@ -254,28 +260,26 @@ def orthogonality_report(s: ResidueSequence) -> OrthogonalityReport:
     )
 
 
-def _check_block(s: ResidueSequence, block: Sequence[int]) -> list[int]:
+def _transform(s: ResidueSequence, block: Sequence[int], v: Sequence[int], scale: int):
+    """scale * cyclic_correlate(v, half) mod q for each half of the block."""
     d = 2 * s.n
     if len(block) != d:
         raise ShapeError(f"block length {len(block)} != {d}")
     q = s.modulus
-    return [b % q for b in block]
+    f = [b % q for b in block]
+    out = [0] * d
+    for h in (0, 1):
+        out[h::2] = [scale * x % q for x in cyclic_correlate(v, f[h::2])]
+    return tuple(out)
 
 
 def forward_transform(s: ResidueSequence, block: Sequence[int]) -> tuple[int, ...]:
     """G = N * F mod q for a block F of 2n values.
 
-    Row i of N is nonzero only at columns i + 2t (mod 2n), where it
-    holds generator value t, so each output needs n products, not 2n.
+    Row i of N holds generator value t at column i + 2t (mod 2n), so the
+    output is two cyclic correlations: v with the even and the odd half of F.
     """
-    f = _check_block(s, block)
-    q = s.modulus
-    v = s.values
-    n = s.n
-    d = 2 * n
-    return tuple(
-        sum(v[t] * f[(i + 2 * t) % d] for t in range(n)) % q for i in range(d)
-    )
+    return _transform(s, block, s.values, 1)
 
 
 def inverse_transform(
@@ -284,15 +288,8 @@ def inverse_transform(
     """F = r^-1 * N^T * G mod q; exact inverse of forward_transform.
 
     diagonal is the residue r with N * N^T == r * I (mod q); it must be
-    invertible mod q or there is nothing to undo.
+    invertible mod q or there is nothing to undo. N^T holds value t at
+    column i - 2t: the forward correlations with the generator reversed.
     """
-    g = _check_block(s, block)
-    q = s.modulus
-    r_inv = mod_inverse(diagonal, q)
     v = s.values
-    n = s.n
-    d = 2 * n
-    return tuple(
-        r_inv * sum(v[t] * g[(i - 2 * t) % d] for t in range(n)) % q
-        for i in range(d)
-    )
+    return _transform(s, block, v[:1] + v[:0:-1], mod_inverse(diagonal, s.modulus))

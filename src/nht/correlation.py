@@ -5,7 +5,8 @@ is the exact integer sum
 
     S(k) = sum_m a(m) * b((m + k) mod N)
 
-with both operands reduced mod q before multiplying. Two residue
+with both operands reduced mod q before multiplying, computed for all
+lags at once by core.cyclic_correlate. Two residue
 conventions exist for reporting S(k) modulo q:
 
     RAW     residue(k) = S(k) mod q
@@ -25,11 +26,11 @@ summed over all lags 0..N-1 and kept as an exact Fraction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import ResidueSequence, _values
+from .core import ResidueSequence, _values, cyclic_correlate
 from .errors import ConventionError, InvalidModulusError, NonInvertibleError, ShapeError
 from .modmath import mod_inverse
 
@@ -129,12 +130,10 @@ def circular_crosscorr(
         raise InvalidModulusError(f"modulus must be >= 2, got {q}")
     av = [v % q for v in _values(a)]
     bv = [v % q for v in _values(b)]
-    if len(av) != len(bv):
-        raise ShapeError(f"length mismatch: {len(av)} vs {len(bv)}")
     n = len(av)
     if n < 2:
         raise ShapeError(f"need at least 2 values, got {n}")
-    raw = tuple(sum(av[m] * bv[(m + k) % n] for m in range(n)) for k in range(n))
+    raw = tuple(cyclic_correlate(av, bv))
     return CorrelationSeries(
         length=n,
         modulus=q,
@@ -200,21 +199,16 @@ def pair_table(
     ]
 
 
-def _profile(
-    seqs: Sequence[ResidueSequence],
-    targets: Mapping[tuple[int, int], Fraction],
-    convention: Convention,
-) -> ConventionProfile:
+def _profile(measured: Sequence[tuple], convention: Convention) -> ConventionProfile:
     rows = []
-    for (i, j), target in sorted(targets.items()):
-        q = seqs[i - 1].modulus
-        series = circular_crosscorr(seqs[i - 1], seqs[j - 1], q, convention)
-        e = expectation_measure(series)
+    for (i, j), target, raw in measured:
+        residues = _residues(raw.raw_sums, raw.length, raw.modulus, convention)
+        e = expectation_measure(replace(raw, convention=convention, residues=residues))
         rows.append(
             DeviationRow(
                 i=i,
                 j=j,
-                modulus=q,
+                modulus=raw.modulus,
                 expectation=e,
                 target=Fraction(target),
                 deviation=abs(e - Fraction(target)),
@@ -229,8 +223,9 @@ def resolve_convention(
 ) -> ConventionReport:
     """Pick the convention that best reproduces the target expectations.
 
-    Measures every target pair under both conventions and keeps both
-    deviation profiles in the report. The winner minimizes the maximum
+    Correlates every target pair once, derives its residues under both
+    conventions from the same raw sums, and keeps both deviation
+    profiles in the report. The winner minimizes the maximum
     absolute deviation; ties go to RAW, as does the case where SCALED
     is not applicable at all.
     """
@@ -239,9 +234,13 @@ def resolve_convention(
     for i, j in targets:
         if not (1 <= i <= len(seqs) and 1 <= j <= len(seqs)) or i == j:
             raise ShapeError(f"target pair ({i}, {j}) out of range")
-    raw = _profile(seqs, targets, Convention.RAW)
+    measured = [
+        ((i, j), t, circular_crosscorr(seqs[i - 1], seqs[j - 1], seqs[i - 1].modulus))
+        for (i, j), t in sorted(targets.items())
+    ]
+    raw = _profile(measured, Convention.RAW)
     try:
-        scaled = _profile(seqs, targets, Convention.SCALED)
+        scaled = _profile(measured, Convention.SCALED)
     except ConventionError as exc:
         return ConventionReport(
             chosen=Convention.RAW, raw=raw, scaled=None, scaled_error=str(exc)

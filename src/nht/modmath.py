@@ -17,9 +17,9 @@ from .errors import (
 )
 
 # Miller-Rabin with these twelve witnesses is a proven primality test for
-# every n below this bound (far beyond any modulus this package produces).
-# Larger inputs reuse the same fixed witnesses, which is deterministic in
-# behavior but heuristic in proof.
+# every n below this bound (about 2^81). Larger inputs reuse the same fixed
+# witnesses, which is deterministic in behavior but heuristic in proof, and
+# chains of length 96 or more already yield larger moduli (88 bits and up).
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

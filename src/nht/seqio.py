@@ -117,8 +117,13 @@ def emit_sequence_file(sf: SequenceFile) -> str:
 
 
 def load_sequence_file(path: str) -> SequenceFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_sequence_file(fh.read())
+    """Parse the file at path; unreadable or non-UTF-8 files raise SequenceFileError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SequenceFileError(f"cannot read {path!r}: {exc}") from None
+    return parse_sequence_file(text)
 
 
 def write_text_atomic(path: str, text: str) -> None:

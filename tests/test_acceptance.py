@@ -17,7 +17,6 @@ from nht.core import (
     forward_transform,
     gram_lag_sums,
     inverse_transform,
-    matrix_gram,
     normalizer,
 )
 from nht.correlation import (
@@ -30,6 +29,7 @@ from nht.correlation import (
 from nht.modmath import factorize
 from nht.search import doubling_chain, evaluate_candidate
 from nht.seqio import SequenceFile, emit_sequence_file
+from oracles import matrix_gram
 
 TOLERANCE = Fraction(1, 100)
 

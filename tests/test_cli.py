@@ -48,6 +48,20 @@ class TestVerify:
         assert report.exit_status == 2
         assert "nonesuch" in err
 
+    def test_directory_is_usage_error(self, tmp_path):
+        report, out, err = run(["verify", str(tmp_path)])
+        assert report.exit_status == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
+
+    def test_non_utf8_file_is_input_error(self, tmp_path):
+        path = tmp_path / "latin1.seq"
+        path.write_bytes("name: caf\xe9\nn: 2\nvalues: 1 2\n".encode("latin-1"))
+        report, out, err = run(["verify", str(path)])
+        assert report.exit_status == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_sequence_without_modulus(self):
         report, _, err = run(["verify", "chain2"])
         assert report.exit_status == 2

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nht import fixtures
@@ -13,12 +13,12 @@ from nht.core import (
     GramSummary,
     ResidueSequence,
     build_circulant,
+    cyclic_correlate,
     diagonal_residue,
     discover_modulus,
     forward_transform,
     gram_lag_sums,
     inverse_transform,
-    matrix_gram,
     normalizer,
     orthogonality_report,
     reduce_mod,
@@ -30,8 +30,21 @@ from nht.errors import (
     ShapeError,
 )
 from nht.search import doubling_chain, evaluate_candidate
+from oracles import circulant_rows, matrix_gram, naive_correlate
 
 generators = st.lists(st.integers(0, 2**16 - 1), min_size=2, max_size=8).filter(any)
+
+
+def _operand(n):
+    # A bit size per operand: 0 gives an all-zero operand, 600 is the size
+    # of doubling-chain values at n=512, and two independent draws give
+    # operands whose maxima differ by many bits.
+    return st.integers(0, 600).flatmap(
+        lambda bits: st.lists(st.integers(0, 2**bits - 1), min_size=n, max_size=n)
+    )
+
+
+operand_pairs = st.integers(2, 64).flatmap(lambda n: st.tuples(_operand(n), _operand(n)))
 
 
 def _brute_rows(values):
@@ -82,14 +95,30 @@ class TestCirculant:
         nht_matrix = build_circulant([3, 1, 4])
         assert nht_matrix.row(1) == (0, 3, 0, 1, 0, 4)
         assert nht_matrix.row(2) == (4, 0, 3, 0, 1, 0)
-        assert len(nht_matrix.rows()) == 6
+        assert len(circulant_rows([3, 1, 4])) == 6
 
     @given(generators)
     @settings(deadline=None)
     def test_rows_match_slice_rotation(self, values):
-        assert build_circulant(values).rows() == [
+        assert circulant_rows(values) == [
             tuple(r) for r in _brute_rows(values)
         ]
+
+
+class TestCyclicCorrelate:
+    @given(operand_pairs)
+    @example(([0, 0], [0, 0]))
+    @example(([0, 0, 0], [5, 2**600, 1]))
+    @example(([2**600 - 1] * 64, [1] + [0] * 63))
+    @example(([1] + [0] * 63, [2**600 - 1] * 64))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_naive_double_sum(self, pair):
+        a, b = pair
+        assert cyclic_correlate(a, b) == naive_correlate(a, b)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ShapeError):
+            cyclic_correlate([1, 2], [1, 2, 3])
 
 
 class TestGram:
@@ -247,7 +276,7 @@ class TestTransforms:
     def test_forward_matches_explicit_matrix_multiply(self):
         rng = random.Random(99)
         s = fixtures.fixture("example5").residue_sequence()
-        rows = build_circulant(s.values).rows()
+        rows = circulant_rows(s.values)
         d = 2 * s.n
         block = [rng.randrange(s.modulus) for _ in range(d)]
         expected = tuple(
@@ -261,7 +290,7 @@ class TestTransforms:
         s = fixtures.fixture("example5").residue_sequence()
         q = s.modulus
         r = diagonal_residue(s.values, q)
-        rows = build_circulant(s.values).rows()
+        rows = circulant_rows(s.values)
         d = 2 * s.n
         block = [rng.randrange(q) for _ in range(d)]
         r_inv = pow(r, -1, q)
