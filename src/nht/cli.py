@@ -37,6 +37,9 @@ from .seqio import (
     write_text_atomic,
 )
 
+# Widest --seeds range: each integer in it gets a primality test.
+MAX_SEED_RANGE = 100_000
+
 
 @dataclass(frozen=True)
 class RunReport:
@@ -91,7 +94,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="evaluate doubling chains of prime seeds")
     p.add_argument("--seeds", required=True,
-                   help="comma list (2,3,11,13) or range (2..50, primes only)")
+                   help="comma list (2,3,11,13) or range (2..50, primes only, "
+                        f"at most {MAX_SEED_RANGE} integers wide)")
     p.add_argument("--n", type=int, required=True, help="chain length")
     p.add_argument("--start", type=int, default=2,
                    help="chain start value (default 2)")
@@ -221,6 +225,8 @@ def _parse_seeds(arg: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise _UsageError(f"empty seed range {arg!r}")
+            if hi - max(2, lo) >= MAX_SEED_RANGE:
+                raise _UsageError(f"seed range {arg!r} is wider than {MAX_SEED_RANGE}")
             return [p for p in range(max(2, lo), hi + 1) if is_prime(p)]
         return [int(tok) for tok in arg.split(",") if tok.strip()]
     except ValueError:

@@ -24,8 +24,6 @@ DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_DIVISION_LIMIT = 1_000_000
-
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test.
@@ -118,9 +116,7 @@ def sqrt_mod_prime(a: int, q: int) -> tuple[int, int] | None:
 
 def _brent_rho(n: int) -> int:
     # Brent's cycle variant of Pollard rho with fixed parameters, so the
-    # factor found for a given n never varies between runs.
-    if n % 2 == 0:
-        return 2
+    # factor found for a given n never varies between runs. n is an odd composite.
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -133,7 +129,7 @@ def _brent_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -141,7 +137,7 @@ def _brent_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise NHTError(f"failed to factor {n}")
@@ -150,24 +146,20 @@ def _brent_rho(n: int) -> int:
 def factorize(x: int) -> dict[int, int]:
     """Exact prime factorization of x >= 1 as {prime: multiplicity}.
 
-    x = 1 gives an empty map; x = 0 is undefined and raises. Trial
-    division handles factors up to 10^6, Pollard rho the rest, so any
-    value the search paths produce factors in well under a second.
+    x = 1 gives an empty map; x = 0 is undefined and raises. After the
+    primes 2..37 are divided out, each cofactor either passes is_prime or
+    is split by Brent rho. There is no effort budget yet: rho's cost grows
+    as the square root of the second largest prime factor, so gcds of
+    chains with n >= 192 may not finish.
     """
     if x < 1:
         raise NHTError(f"factorization is undefined for {x}")
     factors: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _MR_WITNESSES:
         while x % p == 0:
             factors[p] = factors.get(p, 0) + 1
             x //= p
-    d = 7
-    while d <= _TRIAL_DIVISION_LIMIT and d * d <= x:
-        while x % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            x //= d
-        d += 2
-    stack = [x] if x > 1 else []
+    stack = [x]
     while stack:
         m = stack.pop()
         if m == 1:

@@ -20,7 +20,6 @@ leaves a half-written file behind.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,9 +126,10 @@ def load_sequence_file(path: str) -> SequenceFile:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a same-directory temp file and rename over the target."""
+    """Write a same-directory temp file (mode 0666 less umask) and rename it to path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

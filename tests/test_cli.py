@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from nht import fixtures
+from nht import cli, fixtures
 from nht.cli import run_command
 from nht.correlation import circular_autocorr
 from nht.seqio import (
@@ -151,6 +151,27 @@ class TestSearch:
     def test_bad_seeds_argument(self):
         report, _, err = run(["search", "--seeds", "2,x", "--n", "16"])
         assert report.exit_status == 2
+
+    def test_seed_range_wider_than_cap_is_usage_error(self):
+        report, out, err = run(["search", "--seeds", "2..100000000", "--n", "16"])
+        assert report.exit_status == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert str(cli.MAX_SEED_RANGE) in err
+
+    def test_seed_range_cap_counts_from_two(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SEED_RANGE", 10)
+        report, out, _ = run(["search", "--seeds=-50..11", "--n", "16"])
+        assert report.exit_status == 0
+        assert len(out.splitlines()) == 6
+        report, _, _ = run(["search", "--seeds", "2..12", "--n", "16"])
+        assert report.exit_status == 2
+
+    def test_seed_cap_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            run_command(["search", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"at most {cli.MAX_SEED_RANGE} integers wide" in help_text
 
 
 class TestReproduce:

@@ -1,11 +1,13 @@
 """Modular arithmetic helpers against brute-force references."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nht.core import discover_modulus, gram_lag_sums
 from nht.errors import CompositeModulusError, InvalidModulusError, NHTError, NonInvertibleError
 from nht.modmath import (
     factorize,
@@ -14,6 +16,7 @@ from nht.modmath import (
     mod_inverse,
     sqrt_mod_prime,
 )
+from nht.search import doubling_chain
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 47, 331, 1987, 3121, 7283, 21851]
 
@@ -22,6 +25,12 @@ def _trial_division_prime(n: int) -> bool:
     if n < 2:
         return False
     return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
 
 
 class TestIsPrime:
@@ -124,6 +133,36 @@ class TestFactorize:
     def test_large_semiprime(self):
         p, q = 1_000_003, 1_000_033
         assert factorize(p * q) == {p: 1, q: 1}
+
+    # gcds of the lag sums of n=64 doubling chains: prime factors beyond
+    # 10^6, and gcds with two large prime factors.
+    @pytest.mark.parametrize("seed, gcd, factors", [
+        (3001, 12297829382473040410, {2: 1, 5: 1, 47: 1, 463: 1, 56513162917481: 1}),
+        (3049, 12297829382473040506, {2: 1, 4536619: 1, 1355395877687: 1}),
+        (3137, 12297829382473040682, {2: 1, 3: 1, 19: 1, 312560539: 1, 345135367: 1}),
+        (3169, 12297829382473040746, {2: 1, 586960571: 1, 10475856463: 1}),
+    ])
+    def test_n64_chain_gcds(self, seed, gcd, factors):
+        assert discover_modulus(gram_lag_sums(doubling_chain(seed, 64))) == gcd
+        assert factorize(gcd) == factors
+
+    @pytest.mark.parametrize("p", [41, 43, 47, 53, 1_000_003])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_prime_powers_above_small_primes(self, p, k):
+        assert factorize(p**k) == {p: k}
+        assert factorize(2**3 * 37 * p**k) == {2: 3, 37: 1, p: k}
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(38, 10**4), st.integers(10**6, 10**8)).map(_next_prime),
+            min_size=2, max_size=3,
+        ),
+        st.sampled_from([1, 2, 6, 2**5 * 37]),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_products_of_primes_above_37(self, primes, small):
+        expected = Counter(primes) + Counter(factorize(small))
+        assert factorize(small * math.prod(primes)) == dict(sorted(expected.items()))
 
     @given(st.integers(2, 10**9))
     @settings(deadline=None, max_examples=200)

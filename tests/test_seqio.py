@@ -1,6 +1,7 @@
 """Sequence file parsing/emission and CSV output."""
 
 import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,17 @@ class TestAtomicWrite:
         path = str(tmp_path / "out.txt")
         write_text_atomic(path, "data\n")
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        path = str(tmp_path / "out.txt")
+        old = os.umask(umask)
+        try:
+            write_text_atomic(path, "data\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
 
 class TestCsv:
