@@ -50,7 +50,6 @@ from .search import (
     SearchReport,
     doubling_chain,
     evaluate_candidate,
-    random_prime_seeds,
     search_seeds,
 )
 from .seqio import (
@@ -110,7 +109,6 @@ __all__ = [
     "orthogonality_report",
     "pair_table",
     "parse_sequence_file",
-    "random_prime_seeds",
     "reduce_mod",
     "resolve_convention",
     "search_seeds",

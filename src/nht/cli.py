@@ -39,6 +39,9 @@ from .seqio import (
 
 # Widest --seeds range: each integer in it gets a primality test.
 MAX_SEED_RANGE = 100_000
+# Longest --n chain: its values reach n bits, so the cost of one chain
+# grows much faster than n^2.
+MAX_CHAIN_LENGTH = 1024
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,16 @@ class _UsageError(NHTError):
     pass
 
 
+class _HelpRequested(Exception):
+    """--help was given; carries the help text for run_command to write."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -96,7 +106,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seeds", required=True,
                    help="comma list (2,3,11,13) or range (2..50, primes only, "
                         f"at most {MAX_SEED_RANGE} integers wide)")
-    p.add_argument("--n", type=int, required=True, help="chain length")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"chain length (at most {MAX_CHAIN_LENGTH})")
     p.add_argument("--start", type=int, default=2,
                    help="chain start value (default 2)")
     p.add_argument("--prime-only", action="store_true",
@@ -246,6 +257,8 @@ def _search_csv(report) -> str:
 
 
 def _cmd_search(ns, out, err) -> RunReport:
+    if ns.n > MAX_CHAIN_LENGTH:
+        raise _UsageError(f"--n {ns.n} is longer than {MAX_CHAIN_LENGTH}")
     seeds = _parse_seeds(ns.seeds)
     report = search_seeds(
         seeds, ns.n, prime_only=ns.prime_only, start=ns.start,
@@ -387,11 +400,12 @@ def run_command(
     try:
         ns = _build_parser().parse_args(list(argv))
         return _HANDLERS[ns.command](ns, out, err)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=err)
-        return RunReport(command=command, exit_status=2, diagnostics=(str(exc),))
+    except _HelpRequested as exc:
+        out.write(exc.args[0])
+        return RunReport(command=command, exit_status=0)
     except NHTError as exc:
-        print(f"error: {exc}", file=err)
+        prefix = "usage error" if isinstance(exc, _UsageError) else "error"
+        print(f"{prefix}: {exc}", file=err)
         return RunReport(command=command, exit_status=2, diagnostics=(str(exc),))
 
 

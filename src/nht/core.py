@@ -14,6 +14,9 @@ sum(g(j)^2) and, for each lag k in 1..n-1, the circular lag sum
 Whenever a modulus q >= 2 divides every S(k), the matrix satisfies
 N * N^T == r * I (mod q) with r = diagonal mod q, which is what makes
 the forward/inverse block transforms below exact inverses of each other.
+That verdict (off-diagonal residues, r, and the normalizer w when r != 0)
+is computed in one place, _verdict, for both orthogonality_report and
+the chain search.
 
 The lag sums, the modular correlation series and both block transforms
 are cyclic correlations, all computed by one exact kernel,
@@ -240,24 +243,22 @@ def reduce_mod(seq, q: int) -> ResidueSequence:
     return ResidueSequence((v % q for v in _values(seq)), q)
 
 
-def orthogonality_report(s: ResidueSequence) -> OrthogonalityReport:
-    """Check one residue sequence for self-orthogonality mod its modulus."""
-    q = s.modulus
-    gram = gram_lag_sums(s.values)
+def _verdict(gram: GramSummary, q: int) -> OrthogonalityReport:
+    """Reduce a Gram summary mod q: offdiag residues, r and its normalizer."""
     offdiag = tuple(v % q for v in gram.lag_sums)
     r = gram.diagonal % q
-    w: int | None
-    if r == 0:
-        w = None
-    else:
-        w = normalizer(r, q)
     return OrthogonalityReport(
         modulus=q,
         diagonal_residue=r,
         offdiag_residues=offdiag,
-        normalizer=w,
+        normalizer=normalizer(r, q) if r else None,
         is_exact_identity=(r == 1 and not any(offdiag)),
     )
+
+
+def orthogonality_report(s: ResidueSequence) -> OrthogonalityReport:
+    """Check one residue sequence for self-orthogonality mod its modulus."""
+    return _verdict(gram_lag_sums(s.values), s.modulus)
 
 
 def _transform(s: ResidueSequence, block: Sequence[int], v: Sequence[int], scale: int):

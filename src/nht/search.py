@@ -3,27 +3,28 @@
 A doubling chain is the generator [seed, start, 2*start, 4*start, ...]
 of length n. Evaluating a chain means discovering its modulus (the gcd
 of all lag sums), optionally narrowing to the largest prime factor, and
-reducing the chain by it. Every bundled example row is reproduced by
-this pipeline; the chain gcds themselves are composite, so prime-only
-selection is what recovers the bundled (prime) moduli.
+reducing the chain by it. This module only chooses the modulus: the
+verdict on it (every lag sum zero, diagonal residue r, normalizer w) is
+core's orthogonality reduction, the one `verify` also reports. Every
+bundled example row is reproduced by this pipeline; the chain gcds
+themselves are composite, so prime-only selection is what recovers the
+bundled (prime) moduli.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
     GeneratorSequence,
     ResidueSequence,
-    diagonal_residue,
+    _verdict,
     discover_modulus,
     gram_lag_sums,
-    normalizer,
     reduce_mod,
 )
-from .errors import InvalidGeneratorError, NHTError
+from .errors import InvalidGeneratorError
 from .modmath import is_prime, largest_prime_factor
 
 
@@ -36,11 +37,11 @@ class SearchCandidate:
     raw: GeneratorSequence
     gcd: int
     modulus: int
-    modulus_is_prime: bool
-    diagonal_residue: int | None
-    normalizer: int | None
-    reduced: ResidueSequence | None
-    valid: bool
+    modulus_is_prime: bool = False
+    diagonal_residue: int | None = None
+    normalizer: int | None = None
+    reduced: ResidueSequence | None = None
+    valid: bool = False
     diagnostic: str = ""
 
 
@@ -69,44 +70,35 @@ def evaluate_candidate(
     """Discover, verify, and apply a modulus for one generator.
 
     A gcd of 0 (orthogonal over the integers as-is) or 1 (no modulus
-    exists) yields valid=False with a diagnostic. Otherwise the lag sums
-    are re-checked against the selected modulus rather than trusting
-    the discovery step.
+    exists) yields valid=False with a diagnostic. Otherwise core's
+    orthogonality reduction re-checks the lag sums against the selected
+    modulus rather than trusting the discovery step, and supplies r and w.
     """
     if not isinstance(raw, GeneratorSequence):
         raw = GeneratorSequence(raw)
     seed = raw.values[0]
     gram = gram_lag_sums(raw)
     g = discover_modulus(gram)
-    if g == 0:
+    if g < 2:
         return SearchCandidate(
-            seed=seed, n=raw.n, raw=raw, gcd=0, modulus=0,
-            modulus_is_prime=False, diagonal_residue=None, normalizer=None,
-            reduced=None, valid=False,
-            diagnostic="every lag sum is 0: already orthogonal over the integers",
-        )
-    if g == 1:
-        return SearchCandidate(
-            seed=seed, n=raw.n, raw=raw, gcd=1, modulus=1,
-            modulus_is_prime=False, diagonal_residue=None, normalizer=None,
-            reduced=None, valid=False,
-            diagnostic="lag sums have gcd 1: no modulus >= 2 works",
+            seed=seed, n=raw.n, raw=raw, gcd=g, modulus=g,
+            diagnostic="lag sums have gcd 1: no modulus >= 2 works" if g
+            else "every lag sum is 0: already orthogonal over the integers",
         )
     modulus = largest_prime_factor(g) if prime_only else g
-    bad = [k + 1 for k, s in enumerate(gram.lag_sums) if s % modulus]
-    if bad:
+    report = _verdict(gram, modulus)
+    if not report.is_self_orthogonal:
+        bad = [k for k, _ in report.offending_lags()]
         return SearchCandidate(
             seed=seed, n=raw.n, raw=raw, gcd=g, modulus=modulus,
-            modulus_is_prime=is_prime(modulus), diagonal_residue=None,
-            normalizer=None, reduced=None, valid=False,
+            modulus_is_prime=is_prime(modulus),
             diagnostic=f"lag sums {bad} not divisible by {modulus}",
         )
-    r = diagonal_residue(raw, modulus)
-    w = normalizer(r, modulus) if r != 0 else None
     return SearchCandidate(
         seed=seed, n=raw.n, raw=raw, gcd=g, modulus=modulus,
-        modulus_is_prime=is_prime(modulus), diagonal_residue=r,
-        normalizer=w, reduced=reduce_mod(raw, modulus), valid=True,
+        modulus_is_prime=is_prime(modulus),
+        diagonal_residue=report.diagonal_residue, normalizer=report.normalizer,
+        reduced=reduce_mod(raw, modulus), valid=True,
     )
 
 
@@ -133,11 +125,3 @@ def search_seeds(
         if cand.valid or include_invalid:
             candidates.append(cand)
     return SearchReport(candidates=tuple(candidates), rejected=tuple(rejected))
-
-
-def random_prime_seeds(count: int, below: int, rng_seed: int) -> tuple[int, ...]:
-    """count distinct prime seeds under `below`, reproducible from rng_seed."""
-    primes = [p for p in range(2, below) if is_prime(p)]
-    if count > len(primes):
-        raise NHTError(f"only {len(primes)} primes below {below}, need {count}")
-    return tuple(sorted(random.Random(rng_seed).sample(primes, count)))

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, CSV output, reproduction run."""
 
+import hashlib
 import io
 
 import pytest
@@ -167,11 +168,28 @@ class TestSearch:
         report, _, _ = run(["search", "--seeds", "2..12", "--n", "16"])
         assert report.exit_status == 2
 
-    def test_seed_cap_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            run_command(["search", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
+    def test_seed_cap_in_help(self):
+        report, out, err = run(["search", "--help"])
+        assert report.exit_status == 0
+        assert err == ""
+        help_text = " ".join(out.split())
         assert f"at most {cli.MAX_SEED_RANGE} integers wide" in help_text
+        assert f"chain length (at most {cli.MAX_CHAIN_LENGTH})" in help_text
+
+    def test_chain_longer_than_cap_is_usage_error(self):
+        report, out, err = run(["search", "--seeds", "5", "--n", "100000000"])
+        assert report.exit_status == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert str(cli.MAX_CHAIN_LENGTH) in err
+
+    def test_chain_length_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CHAIN_LENGTH", 16)
+        report, out, _ = run(["search", "--seeds", "5", "--n", "16"])
+        assert report.exit_status == 0
+        assert len(out.splitlines()) == 2
+        report, _, _ = run(["search", "--seeds", "5", "--n", "17"])
+        assert report.exit_status == 2
 
 
 class TestReproduce:
@@ -200,7 +218,50 @@ class TestReproduce:
         assert len(pairs) == 13
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Byte-for-byte digests of search and reproduce output."""
+
+    @pytest.mark.parametrize("args, digest", [
+        ("--seeds 3001..3200 --n 64 --prime-only",
+         "697f74341ec39d9b037ef9edb1fc0f92099847ed821dd419f2af2ebcefd13f5a"),
+        ("--seeds 2..400 --n 16",
+         "40a300f2f873ae95acbf2b8358a8c95431049b1a97f6d8a93a592a591960f399"),
+        ("--seeds 2..400 --n 17 --prime-only --start 3",
+         "5b08bf61b275a2e9e7b8bca39a7cdc470cbef64ed6f14564f47d31353770197d"),
+    ])
+    def test_search_csv(self, args, digest):
+        report, out, err = run(["search"] + args.split())
+        assert report.exit_status == 0
+        assert err == ""
+        assert sha256(out) == digest
+
+    def test_reproduce(self, tmp_path):
+        report, out, _ = run(["reproduce", "--out", str(tmp_path)])
+        assert report.exit_status == 0
+        assert sha256(out) == (
+            "5f9a9eec145fdc15abb603b0d5267e81a9aeedc2ca7586f9f05afe2731cde14f"
+        )
+        digests = {
+            "verification.csv":
+                "7cbddcb7fdd3ab3933cc9c0441f175c73c8419a796e154bb5b5b667aec199b68",
+            "pair_expectations.csv":
+                "1d6be629e33c84e35c89b981375c1a42f0648b50cee429fa9bbbb5e89e05e930",
+            "convention_profiles.csv":
+                "310bb8a35e4bd18feaf4b491c5c00c70cb2b7567d5d5bec98a66f30537b0f275",
+        }
+        for name, digest in digests.items():
+            assert sha256((tmp_path / name).read_text()) == digest
+
+
 class TestUsage:
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: nht ")
+
     def test_no_arguments(self):
         report, _, _ = run([])
         assert report.exit_status == 2

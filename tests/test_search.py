@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nht import fixtures
-from nht.errors import InvalidGeneratorError, NHTError
+from nht import fixtures, search
+from nht.errors import InvalidGeneratorError
 from nht.modmath import is_prime
 from nht.search import (
     doubling_chain,
     evaluate_candidate,
-    random_prime_seeds,
     search_seeds,
 )
 
@@ -81,6 +80,17 @@ class TestEvaluateCandidate:
         assert narrowed.diagonal_residue == 0
         assert narrowed.normalizer is None
 
+    def test_modulus_not_dividing_every_lag_sum_is_invalid(self, monkeypatch):
+        # Lag sums of this chain are 918, 540, 432, 540, 918; 5 misses lags 1, 3, 5.
+        monkeypatch.setattr(search, "largest_prime_factor", lambda g: 5)
+        cand = evaluate_candidate(doubling_chain(7, 6), prime_only=True)
+        assert not cand.valid
+        assert cand.gcd == 54 and cand.modulus == 5
+        assert cand.modulus_is_prime
+        assert cand.diagnostic == "lag sums [1, 3, 5] not divisible by 5"
+        assert cand.diagonal_residue is None and cand.normalizer is None
+        assert cand.reduced is None
+
     def test_generalized_chain_regenerates_example2(self):
         cand = evaluate_candidate(
             doubling_chain(12747, 16, start=3642), prime_only=True
@@ -145,20 +155,3 @@ class TestSearchSeeds:
         assert filtered.candidates == tuple(
             c for c in full.candidates if c.valid
         )
-
-
-class TestRandomPrimeSeeds:
-    def test_reproducible(self):
-        a = random_prime_seeds(5, below=100, rng_seed=42)
-        b = random_prime_seeds(5, below=100, rng_seed=42)
-        assert a == b
-        assert all(is_prime(p) for p in a)
-        assert sorted(set(a)) == list(a)
-
-    def test_different_rng_seeds_differ(self):
-        assert random_prime_seeds(8, below=1000, rng_seed=1) != \
-            random_prime_seeds(8, below=1000, rng_seed=2)
-
-    def test_not_enough_primes(self):
-        with pytest.raises(NHTError):
-            random_prime_seeds(10, below=10, rng_seed=0)
