@@ -19,7 +19,6 @@ from . import fixtures
 from .core import orthogonality_report
 from .correlation import (
     Convention,
-    circular_autocorr,
     circular_crosscorr,
     expectation_measure,
     expectation_string,
@@ -42,6 +41,9 @@ MAX_SEED_RANGE = 100_000
 # Longest --n chain: its values reach n bits, so the cost of one chain
 # grows much faster than n^2.
 MAX_CHAIN_LENGTH = 1024
+# Widest --start: at n = MAX_CHAIN_LENGTH the gcd stays near 3,100 bits,
+# well inside Python's 4,300-digit int-to-str limit for the CSV.
+MAX_START_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,10 @@ def _build_parser() -> _Parser:
                        default="raw")
 
     p = sub.add_parser("autocorr", help="autocorrelation series as CSV")
-    p.add_argument("sequence", metavar="SEQ")
+    p.add_argument("a", metavar="SEQ")
     corr_flags(p, pair=False)
     p.add_argument("--out", metavar="PATH")
+    p.set_defaults(b=None, modulus_of="a")
 
     p = sub.add_parser("xcorr", help="cross-correlation series as CSV")
     p.add_argument("a", metavar="SEQA")
@@ -109,7 +112,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True,
                    help=f"chain length (at most {MAX_CHAIN_LENGTH})")
     p.add_argument("--start", type=int, default=2,
-                   help="chain start value (default 2)")
+                   help=f"chain start value (default 2, at most {MAX_START_BITS} bits)")
     p.add_argument("--prime-only", action="store_true",
                    help="use the largest prime factor of the gcd")
     p.add_argument("--valid-only", action="store_true",
@@ -177,43 +180,35 @@ def _cmd_verify(ns, out, err) -> RunReport:
     )
 
 
-def _cmd_autocorr(ns, out, err) -> RunReport:
+def _series(ns):
+    """Correlate a with b (a itself when b is not given) under the anchor's modulus."""
     convention, note = _pick_convention(ns.convention)
-    sf = _load(ns.sequence)
-    series = circular_autocorr(sf.residue_sequence(), convention)
-    outputs = _emit(emit_correlation_csv(series), ns.out, out)
-    if note:
-        print(note, file=err)
-    return RunReport(
-        command="autocorr", exit_status=0, inputs=(ns.sequence,),
-        outputs=outputs, convention=convention.value,
-        diagnostics=(note,) if note else (),
-    )
-
-
-def _pair_series(ns):
-    convention, note = _pick_convention(ns.convention)
-    a, b = _load(ns.a), _load(ns.b)
+    a = _load(ns.a)
+    b = a if ns.b is None else _load(ns.b)
     anchor = a if ns.modulus_of == "a" else b
     q = anchor.residue_sequence().modulus
-    series = circular_crosscorr(a.values, b.values, q, convention)
-    return series, convention, note
+    return circular_crosscorr(a.values, b.values, q, convention), convention, note
 
 
-def _cmd_xcorr(ns, out, err) -> RunReport:
-    series, convention, note = _pair_series(ns)
-    outputs = _emit(emit_correlation_csv(series), ns.out, out)
+def _correlation_report(ns, err, convention, note, outputs=()) -> RunReport:
     if note:
         print(note, file=err)
     return RunReport(
-        command="xcorr", exit_status=0, inputs=(ns.a, ns.b),
+        command=ns.command, exit_status=0,
+        inputs=(ns.a,) if ns.b is None else (ns.a, ns.b),
         outputs=outputs, convention=convention.value,
         diagnostics=(note,) if note else (),
     )
+
+
+def _cmd_correlate(ns, out, err) -> RunReport:
+    series, convention, note = _series(ns)
+    outputs = _emit(emit_correlation_csv(series), ns.out, out)
+    return _correlation_report(ns, err, convention, note, outputs)
 
 
 def _cmd_expect(ns, out, err) -> RunReport:
-    series, convention, note = _pair_series(ns)
+    series, convention, note = _series(ns)
     e = expectation_measure(series)
     print(
         f"E({ns.a},{ns.b}) = {expectation_string(e)} "
@@ -221,12 +216,7 @@ def _cmd_expect(ns, out, err) -> RunReport:
         f"{convention.value})",
         file=out,
     )
-    if note:
-        print(note, file=err)
-    return RunReport(
-        command="expect", exit_status=0, inputs=(ns.a, ns.b),
-        convention=convention.value, diagnostics=(note,) if note else (),
-    )
+    return _correlation_report(ns, err, convention, note)
 
 
 def _parse_seeds(arg: str) -> list[int]:
@@ -259,6 +249,8 @@ def _search_csv(report) -> str:
 def _cmd_search(ns, out, err) -> RunReport:
     if ns.n > MAX_CHAIN_LENGTH:
         raise _UsageError(f"--n {ns.n} is longer than {MAX_CHAIN_LENGTH}")
+    if ns.start.bit_length() > MAX_START_BITS:
+        raise _UsageError(f"--start is wider than {MAX_START_BITS} bits")
     seeds = _parse_seeds(ns.seeds)
     report = search_seeds(
         seeds, ns.n, prime_only=ns.prime_only, start=ns.start,
@@ -295,6 +287,8 @@ def _cmd_reproduce(ns, out, err) -> RunReport:
     tolerance = 0.01
     failures = 0
     outputs: list[str] = []
+    if ns.out:
+        os.makedirs(ns.out, exist_ok=True)
 
     def check(ok: bool, label: str):
         nonlocal failures
@@ -361,7 +355,6 @@ def _cmd_reproduce(ns, out, err) -> RunReport:
     )
 
     if ns.out:
-        os.makedirs(ns.out, exist_ok=True)
         for fname, text in (
             ("verification.csv", "\n".join(verification_lines) + "\n"),
             ("pair_expectations.csv", emit_pair_table_csv(table)),
@@ -382,8 +375,8 @@ def _cmd_reproduce(ns, out, err) -> RunReport:
 
 _HANDLERS = {
     "verify": _cmd_verify,
-    "autocorr": _cmd_autocorr,
-    "xcorr": _cmd_xcorr,
+    "autocorr": _cmd_correlate,
+    "xcorr": _cmd_correlate,
     "expect": _cmd_expect,
     "search": _cmd_search,
     "reproduce": _cmd_reproduce,
@@ -403,7 +396,7 @@ def run_command(
     except _HelpRequested as exc:
         out.write(exc.args[0])
         return RunReport(command=command, exit_status=0)
-    except NHTError as exc:
+    except (NHTError, OSError) as exc:
         prefix = "usage error" if isinstance(exc, _UsageError) else "error"
         print(f"{prefix}: {exc}", file=err)
         return RunReport(command=command, exit_status=2, diagnostics=(str(exc),))

@@ -1,13 +1,14 @@
-"""Circulant transform construction and exact orthogonality checks.
+"""Exact orthogonality checks and block transforms of circulant generators.
 
 A generator sequence g of length n defines a 2n x 2n circulant matrix N
 whose first row interleaves the generator with zeros:
 
     g(0), 0, g(1), 0, ..., g(n-1), 0
 
-and whose row i is the first row rotated right by i. The Gram product
-N * N^T collapses to n distinct integers: the diagonal value
-sum(g(j)^2) and, for each lag k in 1..n-1, the circular lag sum
+and whose row i is the first row rotated right by i. N itself is never
+built, because the Gram product N * N^T collapses to n distinct
+integers: the diagonal value sum(g(j)^2) and, for each lag k in
+1..n-1, the circular lag sum
 
     S(k) = sum_j g(j) * g((j + k) mod n).
 
@@ -97,46 +98,11 @@ def _values(seq) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class CirculantNHT:
-    """The 2n x 2n circulant built from a generator; rows built on demand."""
-
-    generator: GeneratorSequence
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.generator.n
-
-    @property
-    def first_row(self) -> tuple[int, ...]:
-        row = []
-        for v in self.generator.values:
-            row.append(v)
-            row.append(0)
-        return tuple(row)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        """Row i: the first row rotated right by i positions."""
-        first = self.first_row
-        d = self.dimension
-        return tuple(first[(j - i) % d] for j in range(d))
-
-
-@dataclass(frozen=True)
 class GramSummary:
     """The distinct entries of N * N^T: one diagonal, n-1 lag sums."""
 
     diagonal: int
     lag_sums: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.lag_sums) + 1
-
-    def lag_sum(self, k: int) -> int:
-        """S(k) for k in 1..n-1."""
-        if not 1 <= k <= len(self.lag_sums):
-            raise ShapeError(f"lag {k} outside 1..{len(self.lag_sums)}")
-        return self.lag_sums[k - 1]
 
 
 @dataclass(frozen=True)
@@ -147,7 +113,6 @@ class OrthogonalityReport:
     diagonal_residue: int
     offdiag_residues: tuple[int, ...]
     normalizer: int | None
-    is_exact_identity: bool
 
     def offending_lags(self) -> list[tuple[int, int]]:
         """(lag, residue) pairs where the off-diagonal residue is nonzero."""
@@ -156,13 +121,6 @@ class OrthogonalityReport:
     @property
     def is_self_orthogonal(self) -> bool:
         return not any(self.offdiag_residues)
-
-
-def build_circulant(g: GeneratorSequence | Sequence[int]) -> CirculantNHT:
-    """Wrap a generator in its circulant form, validating the generator."""
-    if not isinstance(g, GeneratorSequence):
-        g = GeneratorSequence(g)
-    return CirculantNHT(g)
 
 
 def cyclic_correlate(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -208,13 +166,6 @@ def discover_modulus(gram: GramSummary) -> int:
     return reduce(math.gcd, gram.lag_sums, 0)
 
 
-def diagonal_residue(seq, q: int) -> int:
-    """r = sum of squared values, reduced mod q."""
-    if q < 2:
-        raise InvalidModulusError(f"modulus must be >= 2, got {q}")
-    return sum(v * v for v in _values(seq)) % q
-
-
 def normalizer(r: int, q: int) -> int | None:
     """The scale w with w^2 * r == 1 (mod q), when one exists.
 
@@ -252,7 +203,6 @@ def _verdict(gram: GramSummary, q: int) -> OrthogonalityReport:
         diagonal_residue=r,
         offdiag_residues=offdiag,
         normalizer=normalizer(r, q) if r else None,
-        is_exact_identity=(r == 1 and not any(offdiag)),
     )
 
 

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import GeneratorSequence, ResidueSequence
+from .core import ResidueSequence
 from .correlation import CorrelationSeries, PairTableRow, expectation_string
 from .errors import InvalidModulusError, SequenceFileError
 
@@ -58,9 +58,6 @@ class SequenceFile:
                 raise SequenceFileError(
                     f"values {bad} not below modulus {self.modulus}"
                 )
-
-    def generator(self) -> GeneratorSequence:
-        return GeneratorSequence(self.values)
 
     def residue_sequence(self) -> ResidueSequence:
         if self.modulus is None:
@@ -126,17 +123,23 @@ def load_sequence_file(path: str) -> SequenceFile:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write a same-directory temp file (mode 0666 less umask) and rename it to path."""
+    """Write a same-directory temp file (mode 0666 less umask) and rename it to path.
+
+    On failure the temp file is removed and an OSError names path.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # Name the target, not the temp file, in the error.
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

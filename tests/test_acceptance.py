@@ -13,11 +13,11 @@ from fractions import Fraction
 from nht import fixtures
 from nht.cli import run_command
 from nht.core import (
-    diagonal_residue,
     forward_transform,
     gram_lag_sums,
     inverse_transform,
     normalizer,
+    orthogonality_report,
 )
 from nht.correlation import (
     Convention,
@@ -29,7 +29,7 @@ from nht.correlation import (
 from nht.modmath import factorize
 from nht.search import doubling_chain, evaluate_candidate
 from nht.seqio import SequenceFile, emit_sequence_file
-from oracles import matrix_gram
+from oracles import diagonal_residue, matrix_gram
 
 TOLERANCE = Fraction(1, 100)
 
@@ -84,7 +84,7 @@ def test_criterion_01_row_orthogonality():
     for sf in _rows():
         gram = gram_lag_sums(sf.values)
         for k in range(1, sf.n):
-            ok = ok and gram.lag_sum(k) % sf.modulus == 0
+            ok = ok and gram.lag_sums[k - 1] % sf.modulus == 0
     elapsed = time.perf_counter() - start
     _check(ok and elapsed < 1.0,
            f"criterion 1: 6 rows x lags 1..15 all zero mod q ({elapsed:.3f}s)")
@@ -109,7 +109,7 @@ def test_criterion_03_diagonal_residues_and_normalizers():
     expected_r = {1: 1, 2: 1, 3: 16, 4: 4, 5: 24, 6: 576}
     ok = True
     for i, sf in enumerate(_rows(), start=1):
-        report_r = diagonal_residue(sf.values, sf.modulus)
+        report_r = orthogonality_report(sf.residue_sequence()).diagonal_residue
         ok = ok and report_r == expected_r[i]
         w = normalizer(report_r, sf.modulus)
         ok = ok and w is not None and w * w * report_r % sf.modulus == 1
@@ -124,7 +124,7 @@ def test_criterion_04_round_trips():
     ok = True
     for sf in _rows():
         s = sf.residue_sequence()
-        r = diagonal_residue(sf.values, sf.modulus)
+        r = orthogonality_report(s).diagonal_residue
         for _ in range(100):
             block = [rng.randrange(s.modulus) for _ in range(2 * s.n)]
             restored = inverse_transform(s, forward_transform(s, block), r)
@@ -235,19 +235,19 @@ def test_criterion_08_gram_equivalence_and_literal_forms():
                 shift = (i - j) % (2 * n)
                 predicted = (
                     gram.diagonal if i == j
-                    else 0 if shift % 2 else gram.lag_sum(shift // 2)
+                    else 0 if shift % 2 else gram.lag_sums[shift // 2 - 1]
                 )
                 ok = ok and full[i][j] == predicted
         # Direction 2: the lag sums are recoverable from the matrix.
         ok = ok and gram.diagonal == full[0][0]
         for k in range(1, n):
-            ok = ok and gram.lag_sum(k) == full[2 * k][0]
+            ok = ok and gram.lag_sums[k - 1] == full[2 * k][0]
     for _ in range(50):
         values = [rng.randrange(2**16) for _ in range(16)]
         gram = gram_lag_sums(values)
         for k, form in LITERAL_LAG_FORMS.items():
-            ok = ok and gram.lag_sum(k) == form(*values)
-            ok = ok and gram.lag_sum(16 - k) == form(*values)
+            ok = ok and gram.lag_sums[k - 1] == form(*values)
+            ok = ok and gram.lag_sums[15 - k] == form(*values)
     _check(ok, "criterion 8: 200 random Gram equivalences plus 16-point "
                "literal lag expressions")
 

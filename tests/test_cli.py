@@ -175,6 +175,7 @@ class TestSearch:
         help_text = " ".join(out.split())
         assert f"at most {cli.MAX_SEED_RANGE} integers wide" in help_text
         assert f"chain length (at most {cli.MAX_CHAIN_LENGTH})" in help_text
+        assert f"at most {cli.MAX_START_BITS} bits" in help_text
 
     def test_chain_longer_than_cap_is_usage_error(self):
         report, out, err = run(["search", "--seeds", "5", "--n", "100000000"])
@@ -190,6 +191,58 @@ class TestSearch:
         assert len(out.splitlines()) == 2
         report, _, _ = run(["search", "--seeds", "5", "--n", "17"])
         assert report.exit_status == 2
+
+
+    def test_start_wider_than_cap_is_usage_error(self):
+        report, out, err = run(
+            ["search", "--seeds", "3", "--n", "8", "--start", str(10**3000)]
+        )
+        assert report.exit_status == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert str(cli.MAX_START_BITS) in err
+
+    def test_start_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_START_BITS", 4)
+        report, out, _ = run(["search", "--seeds", "3", "--n", "8", "--start", "15"])
+        assert report.exit_status == 0
+        assert len(out.splitlines()) == 2
+        report, _, _ = run(["search", "--seeds", "3", "--n", "8", "--start", "16"])
+        assert report.exit_status == 2
+
+
+class TestUnwritableOutput:
+    """An --out path that cannot be written is exit 2, with no temp file left."""
+
+    def check(self, argv, where):
+        report, out, err = run(argv)
+        assert report.exit_status == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not list(where.rglob(".tmp-*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["autocorr", "example4"],
+        ["xcorr", "example1", "example2"],
+        ["search", "--seeds", "2,3", "--n", "16"],
+    ])
+    def test_missing_directory(self, tmp_path, argv):
+        self.check(argv + ["--out", str(tmp_path / "missing" / "dir" / "x.csv")],
+                   tmp_path)
+
+    def test_out_is_a_directory(self, tmp_path):
+        self.check(["autocorr", "example4", "--out", str(tmp_path)], tmp_path)
+
+    def test_reproduce_out_is_a_file(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("kept\n")
+        self.check(["reproduce", "--out", str(path)], tmp_path)
+        assert path.read_text() == "kept\n"
+
+    def test_reproduce_out_under_a_file(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("kept\n")
+        self.check(["reproduce", "--out", str(path / "sub")], tmp_path)
 
 
 class TestReproduce:
@@ -222,8 +275,11 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+EMPTY = sha256("")
+
+
 class TestPinnedOutputs:
-    """Byte-for-byte digests of search and reproduce output."""
+    """Byte-for-byte digests of search, correlation and reproduce output."""
 
     @pytest.mark.parametrize("args, digest", [
         ("--seeds 3001..3200 --n 64 --prime-only",
@@ -238,6 +294,28 @@ class TestPinnedOutputs:
         assert report.exit_status == 0
         assert err == ""
         assert sha256(out) == digest
+
+    @pytest.mark.parametrize("args, status, out_digest, err_digest", [
+        ("autocorr example4", 0,
+         "d2aa9edbd3803660002c608ba51600007885f0c5c3cc50297f6759a87e7ba15b", EMPTY),
+        ("autocorr example1 --convention auto", 0,
+         "7a785803f1a110f145c47bf249519b1e9f642e49f784eba6beadd1ec01ed04f0",
+         "56e67130c7321b586f187f2e2040c5397fbe3a0d5b2614826a849dbb6a724aa2"),
+        ("xcorr example1 example2 --modulus-of b --convention scaled", 0,
+         "e72842fa54493642f0cdf20005902577dedececcd5cbb58714e7bfc73c512b4d", EMPTY),
+        ("expect example1 example2", 0,
+         "c2564089b86c1d2ec5ab37f92edfa84524ef756bf0bdbbd09e79cf94b59099a5", EMPTY),
+        ("expect example3 example4 --modulus-of b --convention auto", 0,
+         "d255c1e6f496dc8a6021b05d7ccc89381c249660e2b1421e3fa297a49014e001",
+         "56e67130c7321b586f187f2e2040c5397fbe3a0d5b2614826a849dbb6a724aa2"),
+        ("autocorr chain2", 2, EMPTY,
+         "94e42be7fd574630c31a33c7921d91b8ae56f732f4ce1637d781e8a14ee795c9"),
+    ])
+    def test_correlation_commands(self, args, status, out_digest, err_digest):
+        report, out, err = run(args.split())
+        assert report.exit_status == status
+        assert sha256(out) == out_digest
+        assert sha256(err) == err_digest
 
     def test_reproduce(self, tmp_path):
         report, out, _ = run(["reproduce", "--out", str(tmp_path)])

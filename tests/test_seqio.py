@@ -52,7 +52,6 @@ class TestSequenceFile:
 
     def test_conversions(self):
         sf = SequenceFile(name="x", n=2, values=(1, 2), modulus=5)
-        assert sf.generator().values == (1, 2)
         assert sf.residue_sequence() == ResidueSequence((1, 2), 5)
 
     def test_residue_sequence_needs_modulus(self):
