@@ -41,8 +41,9 @@ MAX_SEED_RANGE = 100_000
 # Longest --n chain: its values reach n bits, so the cost of one chain
 # grows much faster than n^2.
 MAX_CHAIN_LENGTH = 1024
-# Widest --start: at n = MAX_CHAIN_LENGTH the gcd stays near 3,100 bits,
-# well inside Python's 4,300-digit int-to-str limit for the CSV.
+# Widest --start and widest --seeds value: at n = MAX_CHAIN_LENGTH the gcd
+# stays near 3,100 bits, well inside Python's 4,300-digit int-to-str limit
+# for the CSV, and no seed's primality test runs on a larger number.
 MAX_START_BITS = 1024
 
 
@@ -108,7 +109,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="evaluate doubling chains of prime seeds")
     p.add_argument("--seeds", required=True,
                    help="comma list (2,3,11,13) or range (2..50, primes only, "
-                        f"at most {MAX_SEED_RANGE} integers wide)")
+                        f"at most {MAX_SEED_RANGE} integers wide); "
+                        f"each seed at most {MAX_START_BITS} bits")
     p.add_argument("--n", type=int, required=True,
                    help=f"chain length (at most {MAX_CHAIN_LENGTH})")
     p.add_argument("--start", type=int, default=2,
@@ -228,10 +230,17 @@ def _parse_seeds(arg: str) -> list[int]:
                 raise _UsageError(f"empty seed range {arg!r}")
             if hi - max(2, lo) >= MAX_SEED_RANGE:
                 raise _UsageError(f"seed range {arg!r} is wider than {MAX_SEED_RANGE}")
+            _check_seed_bits([hi])
             return [p for p in range(max(2, lo), hi + 1) if is_prime(p)]
-        return [int(tok) for tok in arg.split(",") if tok.strip()]
+        return _check_seed_bits([int(tok) for tok in arg.split(",") if tok.strip()])
     except ValueError:
         raise _UsageError(f"bad --seeds value {arg!r}") from None
+
+
+def _check_seed_bits(seeds: list[int]) -> list[int]:
+    if any(s.bit_length() > MAX_START_BITS for s in seeds):
+        raise _UsageError(f"a --seeds value is wider than {MAX_START_BITS} bits")
+    return seeds
 
 
 def _search_csv(report) -> str:

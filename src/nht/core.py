@@ -22,6 +22,11 @@ the chain search.
 The lag sums, the modular correlation series and both block transforms
 are cyclic correlations, all computed by one exact kernel,
 cyclic_correlate (one big-integer multiply by Kronecker substitution).
+Its slots are the fewest whole bytes that hold every sum. Slots of at
+most 8 bytes (every residue-sized input) are packed and unpacked through
+8-byte struct lanes, a handful of C calls in place of one Python call per
+value; wider slots (raw chain Grams) convert one value at a time. Slots
+are not widened to 8 bytes, since the longer operands slow the multiply.
 All arithmetic is on plain Python integers (no wraparound), and every
 operation here is a pure function on immutable values.
 """
@@ -29,6 +34,7 @@ operation here is a pure function on immutable values.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -123,6 +129,33 @@ class OrthogonalityReport:
         return not any(self.offdiag_residues)
 
 
+def _pack(values: Sequence[int], w: int) -> int:
+    """values as one little-endian integer, w bytes per value (slot).
+
+    Slots of at most 8 bytes go through one struct.pack into 8-byte lanes,
+    whose low w bytes are then copied out with w strided slice assignments.
+    """
+    if w > 8:
+        return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in values), "little")
+    n = len(values)
+    lanes = struct.pack(f"<{n}Q", *values)
+    slots = bytearray(n * w)
+    for k in range(w):
+        slots[k::w] = lanes[k::8]
+    return int.from_bytes(slots, "little")
+
+
+def _unpack(data: bytes, w: int) -> list[int]:
+    """The inverse of _pack on little-endian bytes: one int per w-byte slot."""
+    if w > 8:
+        return [int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w)]
+    n = len(data) // w
+    lanes = bytearray(8 * n)
+    for k in range(w):
+        lanes[k::8] = data[k::w]
+    return list(struct.unpack(f"<{n}Q", lanes))
+
+
 def cyclic_correlate(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """c[k] = sum_m a[m] * b[(m + k) mod n] for k in 0..n-1, exactly.
 
@@ -131,17 +164,21 @@ def cyclic_correlate(a: Sequence[int], b: Sequence[int]) -> list[int]:
     bytes per value, and multiplied once. A slot holds n * max(a) * max(b)
     and every input, so none carries: the top n slots plus the low n-1,
     moved up one slot, are the wrapped sums.
+
+    w is the fewest whole bytes that fit, so residue-sized inputs get
+    slots of at most 8 bytes and pack through struct lanes (see _pack);
+    wider slots, such as raw chain Grams, pack one value at a time. w is
+    not rounded up to 8: the longer operands make the multiply, which
+    dominates at large n, over twice as slow.
     """
     n = len(a)
     if len(b) != n:
         raise ShapeError(f"length mismatch: {n} vs {len(b)}")
     ma, mb = max(a), max(b)
     w = (max(n * ma * mb, ma, mb).bit_length() + 7) // 8 or 1
-    pa, pb = (int.from_bytes(b"".join(x.to_bytes(w, "little") for x in v), "little")
-              for v in (reversed(a), b))
-    p, low = pa * pb, 8 * w * (n - 1)
+    p, low = _pack(a[::-1], w) * _pack(b, w), 8 * w * (n - 1)
     c = ((p >> low) + ((p & ((1 << low) - 1)) << 8 * w)).to_bytes(n * w, "little")
-    return [int.from_bytes(c[i:i + w], "little") for i in range(0, n * w, w)]
+    return _unpack(c, w)
 
 
 def gram_lag_sums(g: GeneratorSequence | Sequence[int]) -> GramSummary:

@@ -176,6 +176,7 @@ class TestSearch:
         assert f"at most {cli.MAX_SEED_RANGE} integers wide" in help_text
         assert f"chain length (at most {cli.MAX_CHAIN_LENGTH})" in help_text
         assert f"at most {cli.MAX_START_BITS} bits" in help_text
+        assert f"each seed at most {cli.MAX_START_BITS} bits" in help_text
 
     def test_chain_longer_than_cap_is_usage_error(self):
         report, out, err = run(["search", "--seeds", "5", "--n", "100000000"])
@@ -209,6 +210,29 @@ class TestSearch:
         assert len(out.splitlines()) == 2
         report, _, _ = run(["search", "--seeds", "3", "--n", "8", "--start", "16"])
         assert report.exit_status == 2
+
+    @pytest.mark.parametrize(
+        "seeds", [str(2**1024), f"3,{2**1024}", f"{2**1024}..{2**1024 + 9}"],
+        ids=["seed", "list", "range"],
+    )
+    def test_seed_wider_than_cap_is_usage_error(self, seeds):
+        report, out, err = run(["search", "--seeds", seeds, "--n", "8"])
+        assert report.exit_status == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert str(cli.MAX_START_BITS) in err
+
+    def test_seed_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_START_BITS", 4)
+        report, out, _ = run(["search", "--seeds", "13", "--n", "8"])
+        assert report.exit_status == 0
+        assert len(out.splitlines()) == 2
+        report, out, _ = run(["search", "--seeds", "2..15", "--n", "8"])
+        assert report.exit_status == 0
+        assert len(out.splitlines()) == 7
+        for seeds in ("17", "3,17", "2..16"):
+            report, _, _ = run(["search", "--seeds", seeds, "--n", "8"])
+            assert report.exit_status == 2
 
 
 class TestUnwritableOutput:

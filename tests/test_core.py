@@ -12,6 +12,8 @@ from nht.core import (
     GeneratorSequence,
     GramSummary,
     ResidueSequence,
+    _pack,
+    _unpack,
     cyclic_correlate,
     discover_modulus,
     forward_transform,
@@ -43,6 +45,24 @@ def _operand(n):
 
 
 operand_pairs = st.integers(2, 64).flatmap(lambda n: st.tuples(_operand(n), _operand(n)))
+
+
+def _narrow_operand(n):
+    # Residue-sized values: at n <= 64 every slot fits in 9 bytes, so most
+    # draws take the struct-lane path and some land just past it.
+    return st.integers(0, 30).flatmap(
+        lambda bits: st.lists(st.integers(0, 2**bits - 1), min_size=n, max_size=n)
+    )
+
+
+narrow_pairs = st.integers(1, 64).flatmap(
+    lambda n: st.tuples(_narrow_operand(n), _narrow_operand(n))
+)
+
+
+def _pack_reference(values, w):
+    # One to_bytes per value: the packing every slot width must reproduce.
+    return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in values), "little")
 
 
 def _brute_rows(values):
@@ -112,6 +132,29 @@ class TestCyclicCorrelate:
     def test_matches_naive_double_sum(self, pair):
         a, b = pair
         assert cyclic_correlate(a, b) == naive_correlate(a, b)
+
+    @given(narrow_pairs)
+    # n * max(a) * max(b) just below 2^64 (8-byte slots) and at 2^64 (9 bytes),
+    # at n = 4 and n = 1.
+    @example(([2**31] * 4, [2**31 - 1] * 4))
+    @example(([2**31] * 4, [2**31] * 4))
+    @example(([2**32 - 1], [2**32 + 1]))
+    @example(([2**32], [2**32]))
+    @example(([7], [0]))
+    @settings(deadline=None, max_examples=200)
+    def test_narrow_operands_match_naive_double_sum(self, pair):
+        a, b = pair
+        assert cyclic_correlate(a, b) == naive_correlate(a, b)
+
+    @pytest.mark.parametrize("w", range(1, 13))
+    def test_pack_and_unpack_match_per_value_bytes(self, w):
+        rng = random.Random(w)
+        top = 2 ** (8 * w) - 1
+        for n in (1, 2, 7, 64):
+            values = [0, top][:n] + [rng.randint(0, top) for _ in range(n - 2)]
+            packed = _pack(values, w)
+            assert packed == _pack_reference(values, w)
+            assert _unpack(packed.to_bytes(n * w, "little"), w) == values
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -288,6 +331,25 @@ class TestTransforms:
             for i in range(d)
         )
         assert inverse_transform(s, block, r) == expected
+
+    # n = 64 with the largest prime q below 2^29 gives 64 * (q-1)^2 < 2^64:
+    # the widest 8-byte slot at that n.
+    @pytest.mark.parametrize("n, q", [(128, 32749), (64, 2**29 - 3)])
+    def test_large_n_matches_explicit_matrix(self, n, q):
+        rng = random.Random(n)
+        s = ResidueSequence([rng.randrange(q) for _ in range(n)], q)
+        rows = circulant_rows(s.values)
+        d = 2 * n
+        block = [rng.randrange(q) for _ in range(d)]
+        assert forward_transform(s, block) == tuple(
+            sum(row[j] * block[j] for j in range(d)) % q for row in rows
+        )
+        r = rng.randrange(1, q)
+        r_inv = pow(r, -1, q)
+        assert inverse_transform(s, block, r) == tuple(
+            r_inv * sum(rows[j][i] * block[j] for j in range(d)) % q
+            for i in range(d)
+        )
 
     def test_wrong_block_length(self):
         s = fixtures.fixture("example1").residue_sequence()
