@@ -110,7 +110,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seeds", required=True,
                    help="comma list (2,3,11,13) or range (2..50, primes only, "
                         f"at most {MAX_SEED_RANGE} integers wide); "
-                        f"each seed at most {MAX_START_BITS} bits")
+                        f"each seed at most {MAX_START_BITS} bits; "
+                        f"a list holds at most {MAX_SEED_RANGE} values")
     p.add_argument("--n", type=int, required=True,
                    help=f"chain length (at most {MAX_CHAIN_LENGTH})")
     p.add_argument("--start", type=int, default=2,
@@ -126,6 +127,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", metavar="DIR",
                    help="directory for the generated CSV reports")
     return parser
+
+
+# Built once, at import, so in-process callers pay the argparse build once
+# and the help text always names the module's caps as imported.
+_PARSER = _build_parser()
 
 
 def _load(token: str) -> SequenceFile:
@@ -232,7 +238,12 @@ def _parse_seeds(arg: str) -> list[int]:
                 raise _UsageError(f"seed range {arg!r} is wider than {MAX_SEED_RANGE}")
             _check_seed_bits([hi])
             return [p for p in range(max(2, lo), hi + 1) if is_prime(p)]
-        return _check_seed_bits([int(tok) for tok in arg.split(",") if tok.strip()])
+        tokens = [tok for tok in arg.split(",") if tok.strip()]
+        if len(tokens) > MAX_SEED_RANGE:
+            raise _UsageError(
+                f"--seeds lists {len(tokens)} values, more than {MAX_SEED_RANGE}"
+            )
+        return _check_seed_bits([int(tok) for tok in tokens])
     except ValueError:
         raise _UsageError(f"bad --seeds value {arg!r}") from None
 
@@ -400,7 +411,7 @@ def run_command(
     err = sys.stderr if err is None else err
     command = argv[0] if argv else ""
     try:
-        ns = _build_parser().parse_args(list(argv))
+        ns = _PARSER.parse_args(list(argv))
         return _HANDLERS[ns.command](ns, out, err)
     except _HelpRequested as exc:
         out.write(exc.args[0])

@@ -143,14 +143,43 @@ def _brent_rho(n: int) -> int:
     raise NHTError(f"failed to factor {n}")
 
 
+def _iroot(m: int, k: int) -> int:
+    """Floor of the k-th root of m >= 1, exactly."""
+    if k == 2:
+        return math.isqrt(m)
+    # Integer Newton steps from a power of two above the root fall
+    # monotonically to its floor.
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(root, k) with root**k == m for the least prime k that has one, else None.
+
+    m has no prime factor below 41, so a root is at least 41 and k is at
+    most m.bit_length() // 5.
+    """
+    for k in range(2, m.bit_length() // 5 + 1):
+        if is_prime(k):
+            root = _iroot(m, k)
+            if root**k == m:
+                return root, k
+    return None
+
+
 def factorize(x: int) -> dict[int, int]:
     """Exact prime factorization of x >= 1 as {prime: multiplicity}.
 
     x = 1 gives an empty map; x = 0 is undefined and raises. After the
-    primes 2..37 are divided out, each cofactor either passes is_prime or
-    is split by Brent rho. There is no effort budget yet: rho's cost grows
-    as the square root of the second largest prime factor, so gcds of
-    chains with n >= 192 may not finish.
+    primes 2..37 are divided out, each cofactor either passes is_prime, is
+    a perfect power root**k (k prime) whose root is factored once and
+    counted k times, or is split by Brent rho. There is no effort budget
+    yet: rho's cost grows as the square root of the second largest prime
+    factor, so gcds of chains with n >= 192 may not finish.
     """
     if x < 1:
         raise NHTError(f"factorization is undefined for {x}")
@@ -159,17 +188,23 @@ def factorize(x: int) -> dict[int, int]:
         while x % p == 0:
             factors[p] = factors.get(p, 0) + 1
             x //= p
-    stack = [x]
+    # (cofactor, how many times it divides x)
+    stack = [(x, 1)]
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if m == 1:
             continue
         if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            factors[m] = factors.get(m, 0) + e
+            continue
+        power = _perfect_power(m)
+        if power:
+            root, k = power
+            stack.append((root, e * k))
             continue
         g = _brent_rho(m)
-        stack.append(g)
-        stack.append(m // g)
+        stack.append((g, e))
+        stack.append((m // g, e))
     return dict(sorted(factors.items()))
 
 

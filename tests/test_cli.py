@@ -2,6 +2,9 @@
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +23,13 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     report = run_command(argv, out=out, err=err)
     return report, out.getvalue(), err.getvalue()
+
+
+def run_fresh(monkeypatch, argv):
+    """run(argv) through a parser built just for this call."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_PARSER", cli._build_parser())
+        return run(argv)
 
 
 def seq_file(tmp_path, name, values, modulus=None):
@@ -177,6 +187,23 @@ class TestSearch:
         assert f"chain length (at most {cli.MAX_CHAIN_LENGTH})" in help_text
         assert f"at most {cli.MAX_START_BITS} bits" in help_text
         assert f"each seed at most {cli.MAX_START_BITS} bits" in help_text
+        assert f"a list holds at most {cli.MAX_SEED_RANGE} values" in help_text
+
+    def test_seed_list_count_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SEED_RANGE", 3)
+        report, out, _ = run(["search", "--seeds", "2,3,5", "--n", "16"])
+        assert report.exit_status == 0
+        assert len(out.splitlines()) == 4
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("seeds reached the primality test")
+
+        monkeypatch.setattr(cli, "search_seeds", no_search)
+        report, out, err = run(["search", "--seeds", "2,3,5,7", "--n", "16"])
+        assert report.exit_status == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert "more than 3" in err
 
     def test_chain_longer_than_cap_is_usage_error(self):
         report, out, err = run(["search", "--seeds", "5", "--n", "100000000"])
@@ -293,6 +320,81 @@ class TestReproduce:
         pairs = open(f"{out_dir}/pair_expectations.csv").read().splitlines()
         assert pairs[0] == "i,j,modulus,expectation"
         assert len(pairs) == 13
+
+
+class TestSharedParser:
+    """run_command parses every argv with the one parser built at import."""
+
+    def test_commands_never_rebuild_the_parser(self, monkeypatch):
+        def no_build():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "_build_parser", no_build)
+        for argv in (
+            ["verify", "example1"],
+            ["autocorr", "example4"],
+            ["xcorr", "example1", "example2"],
+            ["expect", "example1", "example2"],
+            ["search", "--seeds", "2,3", "--n", "16"],
+            ["search", "--help"],
+        ):
+            report, out, _ = run(argv)
+            assert report.exit_status == 0, argv
+            assert out, argv
+
+    def test_no_default_leaks_between_commands(self, monkeypatch, tmp_path):
+        path = str(tmp_path / "auto.csv")
+        sequence = (
+            ["autocorr", "example4"],
+            ["xcorr", "example1", "example2", "--modulus-of", "b",
+             "--convention", "scaled"],
+            ["autocorr", "example4", "--out", path],
+            ["autocorr", "example4"],
+        )
+        for argv in sequence:
+            shared = run(argv)
+            assert shared == run_fresh(monkeypatch, argv), argv
+            assert shared[0].exit_status == 0
+        for argv in sequence:
+            assert cli._PARSER.parse_args(argv) == cli._build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"]] + [[name, "--help"] for name in cli._HANDLERS],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_help_matches_fresh_parser(self, monkeypatch, argv):
+        run(["search", "--seeds", "2,3", "--n", "16", "--prime-only"])
+        shared = run(argv)
+        assert shared[0].exit_status == 0
+        assert shared[1].startswith("usage: nht")
+        assert shared == run_fresh(monkeypatch, argv)
+
+    def test_help_names_caps_as_imported(self):
+        # A search run while a cap is patched must not leave the patched
+        # value in the help text.
+        script = (
+            "import io\n"
+            "from nht import cli\n"
+            "cap = cli.MAX_SEED_RANGE\n"
+            "cli.MAX_SEED_RANGE = 10\n"
+            "report = cli.run_command(['search', '--seeds', '2..11', '--n', '16'],"
+            " io.StringIO(), io.StringIO())\n"
+            "assert report.exit_status == 0, report\n"
+            "cli.MAX_SEED_RANGE = cap\n"
+            "cli.run_command(['search', '--help'])\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=60, check=True,
+        )
+        help_text = " ".join(proc.stdout.split())
+        assert f"at most {cli.MAX_SEED_RANGE} integers wide" in help_text
+        assert f"a list holds at most {cli.MAX_SEED_RANGE} values" in help_text
 
 
 def sha256(text):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nht import modmath
 from nht.core import discover_modulus, gram_lag_sums
 from nht.errors import CompositeModulusError, InvalidModulusError, NHTError, NonInvertibleError
 from nht.modmath import (
@@ -31,6 +32,9 @@ def _next_prime(n: int) -> int:
     while not is_prime(n):
         n += 1
     return n
+
+
+_P20, _P21, _P40 = (_next_prime(2**b) for b in (20, 21, 40))
 
 
 class TestIsPrime:
@@ -151,6 +155,49 @@ class TestFactorize:
     def test_prime_powers_above_small_primes(self, p, k):
         assert factorize(p**k) == {p: k}
         assert factorize(2**3 * 37 * p**k) == {2: 3, 37: 1, p: k}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_prime_power_splits_without_rho(self, monkeypatch, k):
+        def no_rho(n):
+            raise AssertionError(f"Brent rho called on {n}")
+
+        monkeypatch.setattr(modmath, "_brent_rho", no_rho)
+        assert factorize(_P40**k) == {_P40: k}
+
+    @pytest.mark.parametrize(
+        "x, factors, rho_calls",
+        [
+            # rho splits off q; the p**2 left over is a perfect power.
+            (_P40**2 * 1009, {1009: 1, _P40: 2}, [_P40**2 * 1009]),
+            # A composite root is split once, not once per copy. (p*q)**6
+            # is first seen as a square, then its root as a cube.
+            *(
+                ((_P20 * _P21) ** k, {_P20: k, _P21: k}, [_P20 * _P21])
+                for k in (2, 3, 6)
+            ),
+        ],
+        ids=["p^2*q", "(pq)^2", "(pq)^3", "(pq)^6"],
+    )
+    def test_perfect_power_leaves_one_rho_split(
+        self, monkeypatch, x, factors, rho_calls
+    ):
+        rho = modmath._brent_rho
+        calls = []
+
+        def counting_rho(n):
+            calls.append(n)
+            return rho(n)
+
+        monkeypatch.setattr(modmath, "_brent_rho", counting_rho)
+        assert factorize(x) == factors
+        assert calls == rho_calls
+
+    @given(st.integers(1, 2**300), st.integers(2, 60), st.integers(-1, 1))
+    @settings(deadline=None, max_examples=300)
+    def test_integer_root_is_exact_at_powers(self, root, k, offset):
+        m = max(1, root**k + offset)
+        r = modmath._iroot(m, k)
+        assert r**k <= m < (r + 1) ** k
 
     @given(
         st.lists(
