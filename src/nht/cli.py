@@ -10,6 +10,7 @@ mismatched operands).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -19,6 +20,8 @@ from . import fixtures
 from .core import orthogonality_report
 from .correlation import (
     Convention,
+    ConventionReport,
+    PairTableRow,
     circular_crosscorr,
     expectation_measure,
     expectation_string,
@@ -142,12 +145,24 @@ def _load(token: str) -> SequenceFile:
     raise _UsageError(f"{token!r} is not a bundled sequence or a readable file")
 
 
+@functools.cache
+def _bundled_calibration() -> tuple[ConventionReport, tuple[PairTableRow, ...]]:
+    """The convention resolved against the bundled reference expectations,
+    and the pair table of the bundled rows under it.
+
+    Both depend only on constant fixture data, so they are computed on
+    first use and kept for the rest of the process.
+    """
+    seqs = [sf.residue_sequence() for sf in fixtures.example_rows(4)]
+    report = resolve_convention(seqs, fixtures.REFERENCE_EXPECTATIONS)
+    return report, tuple(pair_table(seqs, report.chosen))
+
+
 def _pick_convention(name: str) -> tuple[Convention, str | None]:
     """Map a --convention value to a Convention, resolving 'auto'."""
     if name == "auto":
-        seqs = [sf.residue_sequence() for sf in fixtures.example_rows(4)]
-        report = resolve_convention(seqs, fixtures.REFERENCE_EXPECTATIONS)
-        return report.chosen, f"auto convention resolved to {report.chosen.value}"
+        chosen = _bundled_calibration()[0].chosen
+        return chosen, f"auto convention resolved to {chosen.value}"
     return Convention(name), None
 
 
@@ -332,8 +347,7 @@ def _cmd_reproduce(ns, out, err) -> RunReport:
             f"{sf.name},{report.modulus},{report.diagonal_residue},{w},{ortho}"
         )
 
-    seqs = [sf.residue_sequence() for sf in fixtures.example_rows(4)]
-    conv_report = resolve_convention(seqs, fixtures.REFERENCE_EXPECTATIONS)
+    conv_report, table = _bundled_calibration()
     rejected = conv_report.rejected()
     rejected_note = (
         f"vs {rejected.convention.value} {_float6(rejected.max_deviation)}"
@@ -346,7 +360,6 @@ def _cmd_reproduce(ns, out, err) -> RunReport:
         f"(max deviation {_float6(chosen_profile.max_deviation)} {rejected_note})",
     )
 
-    table = pair_table(seqs, conv_report.chosen)
     within = sum(
         1 for row in table
         if abs(row.expectation - fixtures.REFERENCE_EXPECTATIONS[(row.i, row.j)])

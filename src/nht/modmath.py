@@ -16,34 +16,71 @@ from .errors import (
     NHTError,
 )
 
-# Miller-Rabin with these twelve witnesses is a proven primality test for
-# every n below this bound (about 2^81). Larger inputs reuse the same fixed
-# witnesses, which is deterministic in behavior but heuristic in proof, and
-# chains of length 96 or more already yield larger moduli (88 bits and up).
+# Miller-Rabin with all thirteen witnesses is a proven primality test for
+# every n below this bound (about 2^81), itself the least strong
+# pseudoprime to all of them. Larger inputs reuse the same fixed
+# witnesses, which is deterministic in behavior but heuristic in proof,
+# and chains of length 96 or more already yield larger moduli (88 bits
+# and up).
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (bound, k): the first k witnesses prove every n below bound, the least
+# strong pseudoprime to them (OEIS A014233; Jaeschke, Math. Comp. 1993;
+# Sorenson and Webster, Math. Comp. 2017).
+_MR_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+)
+
+
+def _witness_count(n: int) -> int:
+    for bound, k in _MR_TIERS:
+        if n < bound:
+            return k
+    return len(_MR_WITNESSES)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test.
 
-    Exact for all n below DETERMINISTIC_PRIMALITY_BOUND (about 3.3e24);
-    see the module notes for larger inputs.
+    Exact for all n below DETERMINISTIC_PRIMALITY_BOUND (about 3.3e24),
+    using the first k of the witnesses 2..41, where k is the least count
+    proven for n:
+
+        n below                            witnesses
+        2,047                              2
+        1,373,653                          2, 3
+        25,326,001                         2..5
+        3,215,031,751                      2..7
+        2,152,302,898,747                  2..11
+        3,474,749,660,383                  2..13
+        341,550,071,728,321                2..17
+        3,825,123,056,546,413,051          2..23
+        318,665,857,834,031,151,167,461    2..37
+        3,317,044,064,679,887,385,961,981  2..41
+
+    Larger n run all thirteen; see the module notes.
     """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
-        if n == p:
-            return True
         if n % p == 0:
-            return False
+            return n == p
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:_witness_count(n)]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -147,9 +184,15 @@ def _iroot(m: int, k: int) -> int:
     """Floor of the k-th root of m >= 1, exactly."""
     if k == 2:
         return math.isqrt(m)
-    # Integer Newton steps from a power of two above the root fall
-    # monotonically to its floor.
-    r = 1 << -(-m.bit_length() // k)
+    # 2 ** (log2(m) / k) in floating point is within a relative 2^-36 of
+    # the root, so this r lies above it by at most a relative 2^-29 + 2.
+    # Integer Newton steps from above fall monotonically to the floor, and
+    # from that close each step about doubles the correct bits.
+    t = math.log2(m) / k
+    whole = int(t)
+    r = int(2 ** (t - whole) * 2**53)
+    r = r << (whole - 53) if whole >= 53 else r >> (53 - whole)
+    r += (r >> 30) + 2
     while True:
         s = ((k - 1) * r + m // r ** (k - 1)) // k
         if s >= r:
@@ -160,7 +203,7 @@ def _iroot(m: int, k: int) -> int:
 def _perfect_power(m: int) -> tuple[int, int] | None:
     """(root, k) with root**k == m for the least prime k that has one, else None.
 
-    m has no prime factor below 41, so a root is at least 41 and k is at
+    m has no prime factor below 43, so a root is at least 43 and k is at
     most m.bit_length() // 5.
     """
     for k in range(2, m.bit_length() // 5 + 1):
@@ -175,7 +218,7 @@ def factorize(x: int) -> dict[int, int]:
     """Exact prime factorization of x >= 1 as {prime: multiplicity}.
 
     x = 1 gives an empty map; x = 0 is undefined and raises. After the
-    primes 2..37 are divided out, each cofactor either passes is_prime, is
+    primes 2..41 are divided out, each cofactor either passes is_prime, is
     a perfect power root**k (k prime) whose root is factored once and
     counted k times, or is split by Brent rho. There is no effort budget
     yet: rho's cost grows as the square root of the second largest prime

@@ -8,10 +8,10 @@ A sequence file is plain UTF-8 key/value text:
     values: 2 2 4 8 16 32 64 128 256 181 31 62 124 248 165 330
 
 Blank lines and lines starting with # are ignored. The modulus line is
-optional (raw chains have none), every value must sit below it when it
-is present, and the value count must match n. Emission is canonical:
-fixed key order, single spaces, one trailing newline, so equal records
-always serialize to equal bytes.
+optional (raw chains have none), at most MAX_MODULUS_BITS wide, every
+value must sit below it when it is present, and the value count must
+match n. Emission is canonical: fixed key order, single spaces, one
+trailing newline, so equal records always serialize to equal bytes.
 
 All file writes go through an atomic write-then-rename so a crash never
 leaves a half-written file behind.
@@ -28,6 +28,13 @@ from .correlation import CorrelationSeries, PairTableRow, expectation_string
 from .errors import InvalidModulusError, SequenceFileError
 
 _KEYS = ("name", "n", "modulus", "values")
+
+# Widest modulus a sequence file may give. Every modulus that search can
+# print fits (about 3,070 bits at --n 1024 with a 1,024-bit --start), a
+# correlation's raw sums stay below n * q^2, so about 1,850 digits plus
+# those of n, far inside Python's 4,300-digit int-to-str limit, and the
+# two primality tests of a verify stay near a second each.
+MAX_MODULUS_BITS = 3072
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,11 @@ def parse_sequence_file(text: str) -> SequenceFile:
 
     n = _int("n", fields["n"])
     modulus = _int("modulus", fields["modulus"]) if "modulus" in fields else None
+    if modulus is not None and modulus.bit_length() > MAX_MODULUS_BITS:
+        raise SequenceFileError(
+            f"modulus is {modulus.bit_length()} bits, wider than {MAX_MODULUS_BITS}",
+            line=lines["modulus"],
+        )
     values = tuple(_int("values", tok) for tok in fields["values"].split())
     try:
         return SequenceFile(name=fields["name"], n=n, values=values, modulus=modulus)

@@ -12,6 +12,7 @@ from nht import cli, fixtures
 from nht.cli import run_command
 from nht.correlation import circular_autocorr
 from nht.seqio import (
+    MAX_MODULUS_BITS,
     SequenceFile,
     emit_correlation_csv,
     emit_sequence_file,
@@ -30,6 +31,20 @@ def run_fresh(monkeypatch, argv):
     with monkeypatch.context() as m:
         m.setattr(cli, "_PARSER", cli._build_parser())
         return run(argv)
+
+
+def python_c(script):
+    """Stdout of a fresh `python -c script` that imports nht from this checkout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, timeout=60, check=True,
+    )
+    return proc.stdout
 
 
 def seq_file(tmp_path, name, values, modulus=None):
@@ -322,6 +337,61 @@ class TestReproduce:
         assert len(pairs) == 13
 
 
+class TestSequenceFileModulusCap:
+    """A sequence file's modulus is at most MAX_MODULUS_BITS wide."""
+
+    def wide_file(self, tmp_path, q):
+        return seq_file(tmp_path, f"w{q.bit_length()}", [q - 1, q - 2], modulus=q)
+
+    @pytest.mark.parametrize("command", ["autocorr", "xcorr"])
+    def test_modulus_at_cap_prints_its_sums(self, tmp_path, command):
+        q = 2**MAX_MODULUS_BITS - 1
+        path = self.wide_file(tmp_path, q)
+        argv = [command, path] + ([path] if command == "xcorr" else [])
+        report, out, err = run(argv)
+        assert report.exit_status == 0, err
+        assert out.splitlines()[1] == f"0,{(q - 1) ** 2 + (q - 2) ** 2},5,0.000000"
+
+    @pytest.mark.parametrize("q", [2**MAX_MODULUS_BITS + 1, 10**2500 + 1],
+                             ids=["cap+1", "2500-digit"])
+    @pytest.mark.parametrize("command", ["verify", "autocorr", "xcorr"])
+    def test_wider_modulus_is_input_error(self, tmp_path, q, command):
+        path = self.wide_file(tmp_path, q)
+        argv = [command, path] + ([path] if command == "xcorr" else [])
+        report, out, err = run(argv)
+        assert report.exit_status == 2
+        assert out == ""
+        assert err.startswith("error: line 3: modulus is ")
+
+
+class TestBundledCalibration:
+    """The auto convention and reproduce share one calibration per process."""
+
+    def test_resolved_once_per_process(self, monkeypatch, tmp_path):
+        calls = []
+        for name in ("resolve_convention", "pair_table"):
+            def counting(*args, _real=getattr(cli, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(cli, name, counting)
+        cli._bundled_calibration.cache_clear()
+        try:
+            for argv in (
+                ["autocorr", "example1", "--convention", "auto"],
+                ["expect", "example1", "example2", "--convention", "auto"],
+                ["reproduce"],
+                ["reproduce", "--out", str(tmp_path)],
+            ):
+                assert run(argv)[0].exit_status == 0
+        finally:
+            cli._bundled_calibration.cache_clear()
+        assert calls == ["resolve_convention", "pair_table"]
+
+    def test_not_computed_at_import(self):
+        script = "import nht.cli; print(nht.cli._bundled_calibration.cache_info())"
+        assert "currsize=0" in python_c(script)
+
+
 class TestSharedParser:
     """run_command parses every argv with the one parser built at import."""
 
@@ -383,16 +453,7 @@ class TestSharedParser:
             "cli.MAX_SEED_RANGE = cap\n"
             "cli.run_command(['search', '--help'])\n"
         )
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env=env, timeout=60, check=True,
-        )
-        help_text = " ".join(proc.stdout.split())
+        help_text = " ".join(python_c(script).split())
         assert f"at most {cli.MAX_SEED_RANGE} integers wide" in help_text
         assert f"a list holds at most {cli.MAX_SEED_RANGE} values" in help_text
 

@@ -37,10 +37,47 @@ def _next_prime(n: int) -> int:
 _P20, _P21, _P40 = (_next_prime(2**b) for b in (20, 21, 40))
 
 
+# The least strong pseudoprime to the first k primes (OEIS A014233), for
+# each k where the next tier of is_prime begins: each passes every
+# witness of the tier below it.
+_TIER_PSEUDOPRIMES = {
+    1: 2_047,
+    2: 1_373_653,
+    3: 25_326_001,
+    4: 3_215_031_751,
+    5: 2_152_302_898_747,
+    6: 3_474_749_660_383,
+    7: 341_550_071_728_321,
+    9: 3_825_123_056_546_413_051,
+    12: 318_665_857_834_031_151_167_461,
+}
+_PRIMES_TO_41 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n: int, witnesses) -> bool:
+    """Miller-Rabin on odd n > 41 with every given witness."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class TestIsPrime:
-    def test_matches_trial_division_below_ten_thousand(self):
-        for n in range(10_000):
-            assert is_prime(n) == _trial_division_prime(n), n
+    def test_matches_trial_division_below_two_hundred_thousand(self):
+        divisors = [d for d in range(2, 448) if _trial_division_prime(d)]
+        for n in range(200_000):
+            prime = n >= 2 and all(n % d for d in divisors if d * d <= n)
+            assert is_prime(n) == prime, n
 
     def test_fixture_moduli_are_prime(self):
         for q in (7283, 21851, 3121, 331, 47, 1987):
@@ -53,6 +90,36 @@ class TestIsPrime:
     def test_large_prime(self):
         assert is_prime(2**89 - 1)
         assert not is_prime((2**89 - 1) * (2**61 - 1))
+
+    @pytest.mark.parametrize("k, n", _TIER_PSEUDOPRIMES.items())
+    def test_tier_pseudoprimes_rejected(self, k, n):
+        assert _strong_probable_prime(n, _PRIMES_TO_41[:k])
+        assert not _strong_probable_prime(n, _PRIMES_TO_41)
+        assert not is_prime(n)
+
+    def test_twelve_witness_pseudoprime_factors(self):
+        n = 318_665_857_834_031_151_167_461
+        assert n < modmath.DETERMINISTIC_PRIMALITY_BOUND
+        assert factorize(n) == {399_165_290_221: 1, 798_330_580_441: 1}
+
+    @given(
+        st.one_of(
+            *(
+                st.integers(lo, hi - 1)
+                for lo, hi in zip(
+                    [42, *_TIER_PSEUDOPRIMES.values()],
+                    [*_TIER_PSEUDOPRIMES.values(), modmath.DETERMINISTIC_PRIMALITY_BOUND],
+                )
+            ),
+            st.integers(modmath.DETERMINISTIC_PRIMALITY_BOUND, 2**128),
+        )
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_tiers_agree_with_all_thirteen_witnesses(self, start):
+        # Numbers with a factor up to 41 never reach the witnesses.
+        for n in range(start, start + 200):
+            if math.gcd(n, math.prod(_PRIMES_TO_41)) == 1:
+                assert is_prime(n) == _strong_probable_prime(n, _PRIMES_TO_41), n
 
 
 class TestModInverse:
@@ -196,6 +263,15 @@ class TestFactorize:
     @settings(deadline=None, max_examples=300)
     def test_integer_root_is_exact_at_powers(self, root, k, offset):
         m = max(1, root**k + offset)
+        r = modmath._iroot(m, k)
+        assert r**k <= m < (r + 1) ** k
+
+    @given(st.data(), st.integers(3, 620), st.integers(-1, 1))
+    @settings(deadline=None, max_examples=100)
+    def test_integer_root_is_exact_at_3100_bits(self, data, k, offset):
+        bits = 3100 // k
+        root = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+        m = root**k + offset
         r = modmath._iroot(m, k)
         assert r**k <= m < (r + 1) ** k
 
