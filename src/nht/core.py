@@ -21,12 +21,26 @@ the chain search.
 
 The lag sums, the modular correlation series and both block transforms
 are cyclic correlations, all computed by one exact kernel,
-cyclic_correlate (one big-integer multiply by Kronecker substitution).
-Its slots are the fewest whole bytes that hold every sum. Slots of at
-most 8 bytes (every residue-sized input) are packed and unpacked through
-8-byte struct lanes, a handful of C calls in place of one Python call per
-value; wider slots (raw chain Grams) convert one value at a time. Slots
-are not widened to 8 bytes, since the longer operands slow the multiply.
+cyclic_correlate (Kronecker substitution: big-integer multiplies of the
+packed operands). Its slots are the fewest whole bytes that hold every
+sum. Slots of at most 8 bytes (every residue-sized input) are packed and
+unpacked through 8-byte struct lanes, a handful of C calls in place of
+one Python call per value; wider slots (raw chain Grams) convert one
+value at a time. Slots are not widened to 8 bytes, since the longer
+operands slow the multiply. Below _TWO_POINT_BYTES per packed operand
+(the bundled n = 16 rows, and n = 64 chain Grams with start 2) the
+kernel multiplies once. From there up (transforms at n = 512, long chain
+Grams) it uses Harvey's multipoint Kronecker substitution: each operand
+is evaluated at +2^(4w) and -2^(4w), and the two products, each of
+about half the bits, give the even and the odd coefficients. The table
+beside that constant shows where this starts to pay.
+
+A transform packs the generator once per row: _plan, a bounded cache
+keyed on the row, the direction and the scale, holds the slot width
+(from q alone) and the packed generator, with the inverse's r^-1
+already multiplied in. Each block half then costs one pack, the
+multiplies and one reduction mod q.
+
 All arithmetic is on plain Python integers (no wraparound), and every
 operation here is a pure function on immutable values.
 """
@@ -36,7 +50,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -45,7 +59,7 @@ from .errors import (
     NonInvertibleError,
     ShapeError,
 )
-from .modmath import is_prime, mod_inverse, sqrt_mod_prime
+from .modmath import _sqrt_mod_prime, is_prime, mod_inverse
 
 
 @dataclass(frozen=True)
@@ -135,10 +149,15 @@ def _pack(values: Sequence[int], w: int) -> int:
     Slots of at most 8 bytes go through one struct.pack into 8-byte lanes,
     whose low w bytes are then copied out with w strided slice assignments.
     """
-    if w > 8:
-        return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in values), "little")
+    try:
+        if w > 8:
+            return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in values), "little")
+        lanes = struct.pack(f"<{len(values)}Q", *values)
+    except (struct.error, OverflowError):
+        # w fits every value, so one that fails to pack is negative (or,
+        # through struct lanes, not an integer).
+        raise InvalidGeneratorError("correlated values must be nonnegative integers") from None
     n = len(values)
-    lanes = struct.pack(f"<{n}Q", *values)
     slots = bytearray(n * w)
     for k in range(w):
         slots[k::w] = lanes[k::8]
@@ -156,14 +175,77 @@ def _unpack(data: bytes, w: int) -> list[int]:
     return list(struct.unpack(f"<{n}Q", lanes))
 
 
+# cyclic_correlate multiplies once while an operand packs into fewer bytes
+# (n * w) than this, and evaluates at two points from it up. Two-point time
+# over one-multiply time, median of 11, random operands with w-byte slots,
+# Python 3.11.7 on 2 vCPUs:
+#
+#      n    w=3   w=5   w=8  w=16  w=32  w=64
+#     16   1.98  1.80  1.77  1.13  1.07  0.92
+#     64   1.41  1.41  1.31  0.85  0.81  0.79
+#    256   0.98  0.89  0.76  0.82  0.76  0.68
+#    512   0.97  0.80  0.78  0.74  0.74  0.72
+#   1024   0.74  0.76  0.70  0.71  0.70  0.70
+#   4096   0.77  0.74  0.70  0.66  0.66  0.72
+#
+# Every cell under 768 bytes is slower. A second sweep at fixed n * w found
+# 1.16 at n = 128, w = 8 (1,024 bytes) and nothing above 0.94 from 1,536
+# bytes up, so two points start there.
+_TWO_POINT_BYTES = 1536
+
+
+def _evaluations(values: Sequence[int], w: int) -> tuple[int, ...]:
+    """The packed forms of values that _correlate multiplies.
+
+    Below the crossover, one integer: values in w-byte slots. From it up,
+    the two-point evaluations E + X*O and E - X*O, where E and O pack the
+    even- and odd-indexed values in w-byte slots and X = 2^(4w) is half a
+    slot, so each is about half as long as the one-integer form.
+    """
+    if len(values) * w < _TWO_POINT_BYTES:
+        return (_pack(values, w),)
+    e, o = _pack(values[0::2], w), _pack(values[1::2], w) << 4 * w
+    return e + o, e - o
+
+
+def _correlate(ra: tuple[int, ...], b: tuple[int, ...], n: int, w: int) -> list[int]:
+    """The cyclic correlation of a and b from _evaluations of reversed(a) and b.
+
+    The product P of the packed operands has linear coefficients P[t], and
+    c[k] = P[n-1+k] + P[k-1]: the top n slots plus the low n-1, moved up one
+    slot. With two evaluations, P(X) + P(-X) = 2 * Pe and
+    P(X) - P(-X) = 2X * Po, where Pe and Po hold the even and the odd
+    coefficients in w-byte slots, so each parity of c folds from them.
+    """
+    bits = 8 * w
+    if len(ra) == 1:
+        p, low = ra[0] * b[0], bits * (n - 1)
+        c = (p >> low) + ((p & ((1 << low) - 1)) << bits)
+        return _unpack(c.to_bytes(n * w, "little"), w)
+    plus, minus = ra[0] * b[0], ra[1] * b[1]
+    pe, po = (plus + minus) >> 1, (plus - minus) >> (4 * w + 1)
+    # Even k = 2j take P[n-1+2j], of n-1's parity, and Po[j-1]; odd k = 2j+1
+    # take P[n+2j], of n's parity, and Pe[j].
+    ne, no = (n + 1) // 2, n // 2
+    top_e, top_o = (pe, po) if n % 2 else (po, pe)
+    ce = (top_e >> bits * (ne - 1)) + ((po & ((1 << bits * (ne - 1)) - 1)) << bits)
+    co = (top_o >> bits * no) + (pe & ((1 << bits * no) - 1))
+    out = [0] * n
+    out[0::2] = _unpack(ce.to_bytes(ne * w, "little"), w)
+    out[1::2] = _unpack(co.to_bytes(no * w, "little"), w)
+    return out
+
+
 def cyclic_correlate(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """c[k] = sum_m a[m] * b[(m + k) mod n] for k in 0..n-1, exactly.
 
-    For equal-length nonnegative integer sequences. Kronecker substitution
-    (Harvey, 2009): reversed(a) and b are packed into one integer each, w
-    bytes per value, and multiplied once. A slot holds n * max(a) * max(b)
-    and every input, so none carries: the top n slots plus the low n-1,
-    moved up one slot, are the wrapped sums.
+    For equal-length, nonempty, nonnegative integer sequences. Kronecker
+    substitution (Harvey, 2009): reversed(a) and b are packed w bytes per
+    value. A slot holds n * max(a) * max(b) and every input, so none
+    carries. Below _TWO_POINT_BYTES per operand the two packed integers
+    are multiplied once; from there up, Harvey's multipoint variant
+    multiplies their evaluations at +X and -X, two multiplies of half the
+    length, which is cheaper once the multiply dominates (see _correlate).
 
     w is the fewest whole bytes that fit, so residue-sized inputs get
     slots of at most 8 bytes and pack through struct lanes (see _pack);
@@ -174,11 +256,11 @@ def cyclic_correlate(a: Sequence[int], b: Sequence[int]) -> list[int]:
     n = len(a)
     if len(b) != n:
         raise ShapeError(f"length mismatch: {n} vs {len(b)}")
+    if not n:
+        raise ShapeError("cannot correlate empty sequences")
     ma, mb = max(a), max(b)
     w = (max(n * ma * mb, ma, mb).bit_length() + 7) // 8 or 1
-    p, low = _pack(a[::-1], w) * _pack(b, w), 8 * w * (n - 1)
-    c = ((p >> low) + ((p & ((1 << low) - 1)) << 8 * w)).to_bytes(n * w, "little")
-    return _unpack(c, w)
+    return _correlate(_evaluations(a[::-1], w), _evaluations(b, w), n, w)
 
 
 def gram_lag_sums(g: GeneratorSequence | Sequence[int]) -> GramSummary:
@@ -216,12 +298,13 @@ def normalizer(r: int, q: int) -> int | None:
     r %= q
     if r == 0:
         raise NonInvertibleError(f"diagonal residue 0 mod {q} has no normalizer")
-    if not is_prime(q):
-        return None
-    roots = sqrt_mod_prime(r, q)
-    if roots is None:
-        return None
-    return mod_inverse(roots[0], q)
+    return _prime_normalizer(r, q) if is_prime(q) else None
+
+
+def _prime_normalizer(r: int, q: int) -> int | None:
+    """normalizer for r in [1, q) and a q already known to be prime."""
+    roots = _sqrt_mod_prime(r, q)
+    return None if roots is None else mod_inverse(roots[0], q)
 
 
 def reduce_mod(seq, q: int) -> ResidueSequence:
@@ -231,15 +314,25 @@ def reduce_mod(seq, q: int) -> ResidueSequence:
     return ResidueSequence((v % q for v in _values(seq)), q)
 
 
-def _verdict(gram: GramSummary, q: int) -> OrthogonalityReport:
-    """Reduce a Gram summary mod q: offdiag residues, r and its normalizer."""
+def _verdict(gram: GramSummary, q: int, prime: bool | None = None) -> OrthogonalityReport:
+    """Reduce a Gram summary mod q: offdiag residues, r and its normalizer.
+
+    prime is q's primality when the caller already knows it, so that q is
+    tested at most once; None leaves the test to normalizer.
+    """
     offdiag = tuple(v % q for v in gram.lag_sums)
     r = gram.diagonal % q
+    if not r:
+        w = None
+    elif prime is None:
+        w = normalizer(r, q)
+    else:
+        w = _prime_normalizer(r, q) if prime else None
     return OrthogonalityReport(
         modulus=q,
         diagonal_residue=r,
         offdiag_residues=offdiag,
-        normalizer=normalizer(r, q) if r else None,
+        normalizer=w,
     )
 
 
@@ -248,16 +341,35 @@ def orthogonality_report(s: ResidueSequence) -> OrthogonalityReport:
     return _verdict(gram_lag_sums(s.values), s.modulus)
 
 
-def _transform(s: ResidueSequence, block: Sequence[int], v: Sequence[int], scale: int):
-    """scale * cyclic_correlate(v, half) mod q for each half of the block."""
-    d = 2 * s.n
-    if len(block) != d:
-        raise ShapeError(f"block length {len(block)} != {d}")
+@lru_cache(maxsize=8)
+def _plan(s: ResidueSequence, inverse: bool, scale: int) -> tuple[int, tuple[int, ...]]:
+    """The slot width and the packed generator for one row's transforms.
+
+    w holds every sum of n products of residues, n * (q-1)^2, so blocks
+    need no max() pass. The generator (reversed for the inverse, as N^T
+    needs) is multiplied by scale mod q and packed reversed, as
+    _correlate takes it. Keyed on the row itself, so rows with equal
+    values but different moduli never share a plan.
+    """
+    q, v = s.modulus, s.values
+    if inverse:
+        v = v[:1] + v[:0:-1]
+    w = ((s.n * (q - 1) ** 2).bit_length() + 7) // 8
+    return w, _evaluations([scale * x % q for x in reversed(v)], w)
+
+
+def _transform(s: ResidueSequence, block: Sequence[int], inverse: bool, scale: int):
+    """scale * (v correlated with each half of the block) mod q, where v is
+    the generator, reversed after its first value for the inverse."""
+    n = s.n
+    if len(block) != 2 * n:
+        raise ShapeError(f"block length {len(block)} != {2 * n}")
     q = s.modulus
+    w, gen = _plan(s, inverse, scale)
     f = [b % q for b in block]
-    out = [0] * d
+    out = [0] * (2 * n)
     for h in (0, 1):
-        out[h::2] = [scale * x % q for x in cyclic_correlate(v, f[h::2])]
+        out[h::2] = [x % q for x in _correlate(gen, _evaluations(f[h::2], w), n, w)]
     return tuple(out)
 
 
@@ -267,7 +379,7 @@ def forward_transform(s: ResidueSequence, block: Sequence[int]) -> tuple[int, ..
     Row i of N holds generator value t at column i + 2t (mod 2n), so the
     output is two cyclic correlations: v with the even and the odd half of F.
     """
-    return _transform(s, block, s.values, 1)
+    return _transform(s, block, False, 1)
 
 
 def inverse_transform(
@@ -279,5 +391,4 @@ def inverse_transform(
     invertible mod q or there is nothing to undo. N^T holds value t at
     column i - 2t: the forward correlations with the generator reversed.
     """
-    v = s.values
-    return _transform(s, block, v[:1] + v[:0:-1], mod_inverse(diagonal, s.modulus))
+    return _transform(s, block, True, mod_inverse(diagonal, s.modulus))

@@ -114,6 +114,11 @@ def sqrt_mod_prime(a: int, q: int) -> tuple[int, int] | None:
         raise InvalidModulusError(f"modulus must be >= 2, got {q}")
     if not is_prime(q):
         raise CompositeModulusError(f"square roots require a prime modulus, got {q}")
+    return _sqrt_mod_prime(a, q)
+
+
+def _sqrt_mod_prime(a: int, q: int) -> tuple[int, int] | None:
+    """sqrt_mod_prime for a q already known to be prime: no primality test."""
     a %= q
     if a == 0:
         return (0, 0)

@@ -86,17 +86,19 @@ def evaluate_candidate(
             else "every lag sum is 0: already orthogonal over the integers",
         )
     modulus = largest_prime_factor(g) if prime_only else g
-    report = _verdict(gram, modulus)
+    # A prime-only modulus is a factor from factorize, so it is prime.
+    prime = prime_only or is_prime(modulus)
+    report = _verdict(gram, modulus, prime)
     if not report.is_self_orthogonal:
         bad = [k for k, _ in report.offending_lags()]
         return SearchCandidate(
             seed=seed, n=raw.n, raw=raw, gcd=g, modulus=modulus,
-            modulus_is_prime=is_prime(modulus),
+            modulus_is_prime=prime,
             diagnostic=f"lag sums {bad} not divisible by {modulus}",
         )
     return SearchCandidate(
         seed=seed, n=raw.n, raw=raw, gcd=g, modulus=modulus,
-        modulus_is_prime=is_prime(modulus),
+        modulus_is_prime=prime,
         diagonal_residue=report.diagonal_residue, normalizer=report.normalizer,
         reduced=reduce_mod(raw, modulus), valid=True,
     )

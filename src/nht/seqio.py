@@ -33,7 +33,7 @@ _KEYS = ("name", "n", "modulus", "values")
 # print fits (about 3,070 bits at --n 1024 with a 1,024-bit --start), a
 # correlation's raw sums stay below n * q^2, so about 1,850 digits plus
 # those of n, far inside Python's 4,300-digit int-to-str limit, and the
-# two primality tests of a verify stay near a second each.
+# one primality test of a verify stays near a second.
 MAX_MODULUS_BITS = 3072
 
 

@@ -8,11 +8,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nht import fixtures
+from nht import core
 from nht.core import (
+    _TWO_POINT_BYTES,
     GeneratorSequence,
     GramSummary,
     ResidueSequence,
+    _evaluations,
     _pack,
+    _plan,
     _unpack,
     cyclic_correlate,
     discover_modulus,
@@ -58,6 +62,36 @@ def _narrow_operand(n):
 narrow_pairs = st.integers(1, 64).flatmap(
     lambda n: st.tuples(_narrow_operand(n), _narrow_operand(n))
 )
+
+
+def _at_width(n, w):
+    # The exponent e for which values up to 2^e give n-value operands
+    # w-byte slots: n * 2^(2e) has 8w - 1 or 8w bits.
+    return (8 * w - n.bit_length()) // 2
+
+
+def _operand_at(n, w):
+    # Values below 2^e for a random e up to the width-w exponent, so the
+    # kernel's own w lands at or under this one.
+    return st.integers(0, _at_width(n, w)).flatmap(
+        lambda e: st.lists(st.integers(0, 2**e), min_size=n, max_size=n))
+
+
+def _near_crossover(n):
+    # Slot widths around the two-point crossover for this n; each operand
+    # draws its own top bit, so some pairs land below it and some above.
+    w = -(-_TWO_POINT_BYTES // n)
+    return st.integers(max(1, w - 2), w + 2).flatmap(
+        lambda w: st.tuples(_operand_at(n, w), _operand_at(n, w)))
+
+
+def _filled(n, w):
+    # Operands of length n whose slot width is exactly w, with unequal values
+    # so that a misplaced coefficient shows.
+    top = 2 ** _at_width(n, w)
+    step = top // 8
+    return ([top - i % 5 * step for i in range(n)],
+            [top - i % 7 * step for i in range(n)])
 
 
 def _pack_reference(values, w):
@@ -159,6 +193,55 @@ class TestCyclicCorrelate:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             cyclic_correlate([1, 2], [1, 2, 3])
+
+    @given(st.integers(1, 48).flatmap(_near_crossover))
+    # n * w exactly at the constant (two points) and one byte under it (one
+    # multiply), odd and even n, n = 1, slots of 2, 3 and up to 1,536 bytes,
+    # and all-zero operands on both sides.
+    @example(_filled(16, _TWO_POINT_BYTES // 16))
+    @example(_filled(5, (_TWO_POINT_BYTES - 1) // 5))
+    @example(_filled(1, _TWO_POINT_BYTES))
+    @example(_filled(3, _TWO_POINT_BYTES // 3))
+    @example(_filled(2, _TWO_POINT_BYTES // 2))
+    @example(_filled(512, 3))
+    @example(_filled(768, 2))
+    @example(([0] * 16, [2**800] * 16))
+    @example(([0] * 16, [0] * 16))
+    @settings(deadline=None, max_examples=100)
+    def test_two_point_matches_naive_double_sum(self, pair):
+        a, b = pair
+        assert cyclic_correlate(a, b) == naive_correlate(a, b)
+
+    @pytest.mark.parametrize("n, w, points", [
+        (16, _TWO_POINT_BYTES // 16, 2),
+        (17, _TWO_POINT_BYTES // 16, 2),
+        (16, _TWO_POINT_BYTES // 16 - 1, 1),
+        (1, _TWO_POINT_BYTES, 2),
+        (512, 3, 2),
+        (64, 17, 1),
+    ])
+    def test_filled_operands_take_the_expected_path(self, n, w, points):
+        a, b = _filled(n, w)
+        assert (n * max(a) * max(b)).bit_length() + 7 >> 3 == w
+        assert len(_evaluations(a, w)) == points
+
+    def test_empty_operands(self):
+        with pytest.raises(ShapeError):
+            cyclic_correlate([], [])
+
+    @pytest.mark.parametrize("a, b", [
+        ([-1, 2], [3, 4]),
+        ([1, 2], [3, -4]),
+        ([-1, 0], [0, 0]),
+        ([-(2**100), 1], [1, 1]),
+        ([2**100, 1], [1, -1]),
+        # Above the crossover, in an even and in an odd position.
+        ([2**800] * 15 + [-1], [2**800] * 16),
+        ([2**800] * 16, [1, -(2**800)] + [2**800] * 14),
+    ])
+    def test_negative_values_are_invalid(self, a, b):
+        with pytest.raises(InvalidGeneratorError):
+            cyclic_correlate(a, b)
 
 
 class TestGram:
@@ -377,6 +460,87 @@ class TestTransforms:
         assert list(
             inverse_transform(s, forward, cand.diagonal_residue)
         ) == block
+
+
+def _explicit_forward(values, q, block):
+    rows = circulant_rows(values)
+    return tuple(sum(r * x for r, x in zip(row, block)) % q for row in rows)
+
+
+def _explicit_inverse(values, q, block, r):
+    rows = circulant_rows(values)
+    r_inv = pow(r, -1, q)
+    return tuple(
+        r_inv * sum(row[i] * x for row, x in zip(rows, block)) % q
+        for i in range(len(block))
+    )
+
+
+class TestTransformsAtTwoPoints:
+    # The doubling chain of seed 19 at n = 512 has 5953 in its lag-sum gcd,
+    # so its reduction is self-orthogonal with r = 1296. Its slots are 4
+    # bytes (512 * 5952^2 < 2^32), 2,048 bytes per half-block: two points.
+    Q = 5953
+    ROW = reduce_mod(doubling_chain(19, 512), Q)
+
+    def test_row_is_self_orthogonal_at_two_points(self):
+        report = orthogonality_report(self.ROW)
+        assert report.is_self_orthogonal and report.diagonal_residue == 1296
+        assert len(_plan(self.ROW, False, 1)[1]) == 2
+
+    @given(st.lists(st.integers(-3 * Q, 3 * Q), min_size=1024, max_size=1024))
+    @example([Q] * 1024)
+    @example([-1] * 1024)
+    @example(list(range(-512, 512)))
+    @settings(deadline=None, max_examples=3)
+    def test_round_trip_matches_naive_correlation(self, block):
+        s, q, r = self.ROW, self.Q, 1296
+        reduced = [b % q for b in block]
+        forward = forward_transform(s, block)
+        v = s.values
+        for h in (0, 1):
+            assert list(forward[h::2]) == [
+                x % q for x in naive_correlate(v, reduced[h::2])]
+        assert list(inverse_transform(s, forward, r)) == reduced
+        r_inv, back = pow(r, -1, q), list(forward)
+        for h in (0, 1):
+            assert list(inverse_transform(s, back, r)[h::2]) == [
+                r_inv * x % q for x in naive_correlate(v[:1] + v[:0:-1], back[h::2])]
+
+
+class TestTransformPlans:
+    VALUES = (3, 1, 4, 1, 5, 9, 2, 6)
+
+    def test_rows_differing_only_in_modulus(self):
+        _plan.cache_clear()
+        block = [2**40 + i for i in range(16)]
+        # The small modulus first: its 2-byte slots would overflow under
+        # the large one.
+        for q in (11, 2**61 - 1, 11, 13):
+            s = ResidueSequence(self.VALUES, q)
+            assert forward_transform(s, block) == _explicit_forward(s.values, q, block)
+        assert _plan.cache_info().currsize == 3
+
+    def test_directions_and_diagonals(self):
+        _plan.cache_clear()
+        q = 101
+        s = ResidueSequence(self.VALUES, q)
+        block = [7 * i % q for i in range(16)]
+        expected_forward = _explicit_forward(self.VALUES, q, block)
+        # Diagonal 1 makes the inverse's scale equal the forward's.
+        for _ in range(2):
+            for r in (1, 5, 1, 100):
+                assert forward_transform(s, block) == expected_forward
+                assert inverse_transform(s, block, r) == _explicit_inverse(
+                    self.VALUES, q, block, r)
+        assert _plan.cache_info().currsize == 4
+
+    def test_equal_rows_share_a_plan(self):
+        _plan.cache_clear()
+        block = list(range(16))
+        forward_transform(ResidueSequence(self.VALUES, 101), block)
+        forward_transform(ResidueSequence(list(self.VALUES), 101), block)
+        assert _plan.cache_info().hits == 1
 
 
 class TestOrthogonalityReport:

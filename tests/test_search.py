@@ -1,10 +1,13 @@
 """Doubling chains, candidate evaluation, seed search."""
 
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nht import fixtures, search
+from nht import core, fixtures, modmath, search
+from nht.cli import run_command
 from nht.errors import InvalidGeneratorError
 from nht.modmath import is_prime
 from nht.search import (
@@ -155,3 +158,43 @@ class TestSearchSeeds:
         assert filtered.candidates == tuple(
             c for c in full.candidates if c.valid
         )
+
+
+class TestOnePrimalityTestPerModulus:
+    """Each modulus goes through is_prime at most once per verdict."""
+
+    @pytest.fixture
+    def tested(self, monkeypatch):
+        seen = []
+
+        def counting(n):
+            seen.append(n)
+            return is_prime(n)
+
+        for module in (core, search, modmath):
+            monkeypatch.setattr(module, "is_prime", counting)
+        return seen
+
+    def test_prime_only_candidate(self, tested):
+        c = evaluate_candidate(doubling_chain(2, 16), prime_only=True)
+        assert (c.modulus, c.modulus_is_prime, c.normalizer) == (331, True, 166)
+        assert tested.count(331) == 1
+
+    def test_candidate_with_prime_gcd(self, tested):
+        # S(1) = S(2) = 1 + 3 + 3 = 7, diagonal 11 = 4 mod 7.
+        c = evaluate_candidate([1, 1, 3])
+        assert (c.gcd, c.modulus_is_prime, c.diagonal_residue) == (7, True, 4)
+        assert c.normalizer == 4
+        assert tested.count(7) == 1
+
+    def test_candidate_with_composite_gcd(self, tested):
+        c = evaluate_candidate(doubling_chain(2, 16))
+        assert not c.modulus_is_prime and c.normalizer is None
+        assert tested.count(c.modulus) == 1
+
+    def test_normalizer_and_verify(self, tested):
+        assert core.normalizer(4, 331) == 166
+        assert tested.count(331) == 1
+        report = run_command(["verify", "example4"], io.StringIO(), io.StringIO())
+        assert report.exit_status == 0
+        assert tested.count(331) == 2
