@@ -153,9 +153,9 @@ def _pack(values: Sequence[int], w: int) -> int:
         if w > 8:
             return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in values), "little")
         lanes = struct.pack(f"<{len(values)}Q", *values)
-    except (struct.error, OverflowError):
-        # w fits every value, so one that fails to pack is negative (or,
-        # through struct lanes, not an integer).
+    except (struct.error, OverflowError, AttributeError):
+        # w fits every value, so one that fails to pack is negative or not
+        # an integer (struct refuses it, or it has no to_bytes).
         raise InvalidGeneratorError("correlated values must be nonnegative integers") from None
     n = len(values)
     slots = bytearray(n * w)
@@ -239,7 +239,9 @@ def _correlate(ra: tuple[int, ...], b: tuple[int, ...], n: int, w: int) -> list[
 def cyclic_correlate(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """c[k] = sum_m a[m] * b[(m + k) mod n] for k in 0..n-1, exactly.
 
-    For equal-length, nonempty, nonnegative integer sequences. Kronecker
+    For equal-length, nonempty, nonnegative integer sequences; any other
+    value raises InvalidGeneratorError, found where it fails to size or
+    pack rather than by a check per value. Kronecker
     substitution (Harvey, 2009): reversed(a) and b are packed w bytes per
     value. A slot holds n * max(a) * max(b) and every input, so none
     carries. Below _TWO_POINT_BYTES per operand the two packed integers
@@ -259,7 +261,11 @@ def cyclic_correlate(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not n:
         raise ShapeError("cannot correlate empty sequences")
     ma, mb = max(a), max(b)
-    w = (max(n * ma * mb, ma, mb).bit_length() + 7) // 8 or 1
+    try:
+        w = (max(n * ma * mb, ma, mb).bit_length() + 7) // 8 or 1
+    except AttributeError:
+        # A maximum that is no integer (a float, a Fraction) has no bit_length.
+        raise InvalidGeneratorError("correlated values must be nonnegative integers") from None
     return _correlate(_evaluations(a[::-1], w), _evaluations(b, w), n, w)
 
 

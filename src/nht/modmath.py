@@ -8,6 +8,7 @@ same arguments take the same path and return the same result.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import (
     CompositeModulusError,
@@ -156,6 +157,23 @@ def _sqrt_mod_prime(a: int, q: int) -> tuple[int, int] | None:
     return (x, q - x) if x <= q - x else (q - x, x)
 
 
+# Cofactors left after 2..41 are divided out meet one gcd with the product
+# of the primes 43..4093 (5,763 bits, about 5 us a gcd) before any root or
+# rho step, so rho spends no steps on a factor below 4096 in a large cofactor.
+_SPLIT_BOUND = 4096
+
+
+@lru_cache(maxsize=1)
+def _small_prime_product() -> int:
+    """The product of the primes 43..4093, sieved on first use (about 0.45 ms),
+    so that a process that never factors does not pay for it at import."""
+    sieve = bytearray([1]) * _SPLIT_BOUND
+    for p in range(2, math.isqrt(_SPLIT_BOUND - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, _SPLIT_BOUND, p)))
+    return math.prod(p for p in range(_MR_WITNESSES[-1] + 1, _SPLIT_BOUND) if sieve[p])
+
+
 def _brent_rho(n: int) -> int:
     # Brent's cycle variant of Pollard rho with fixed parameters, so the
     # factor found for a given n never varies between runs. n is an odd composite.
@@ -208,10 +226,10 @@ def _iroot(m: int, k: int) -> int:
 def _perfect_power(m: int) -> tuple[int, int] | None:
     """(root, k) with root**k == m for the least prime k that has one, else None.
 
-    m has no prime factor below 43, so a root is at least 43 and k is at
-    most m.bit_length() // 5.
+    m has no prime factor below _SPLIT_BOUND = 2^12, so a root is at
+    least 4099 > 2^12 and k is at most m.bit_length() // 12.
     """
-    for k in range(2, m.bit_length() // 5 + 1):
+    for k in range(2, m.bit_length() // 12 + 1):
         if is_prime(k):
             root = _iroot(m, k)
             if root**k == m:
@@ -223,10 +241,14 @@ def factorize(x: int) -> dict[int, int]:
     """Exact prime factorization of x >= 1 as {prime: multiplicity}.
 
     x = 1 gives an empty map; x = 0 is undefined and raises. After the
-    primes 2..41 are divided out, each cofactor either passes is_prime, is
-    a perfect power root**k (k prime) whose root is factored once and
-    counted k times, or is split by Brent rho. There is no effort budget
-    yet: rho's cost grows as the square root of the second largest prime
+    primes 2..41 are divided out, each cofactor either passes is_prime or
+    takes one gcd d with the product of the primes 43..4093. A d strictly
+    between 1 and the cofactor splits it in two. Otherwise a cofactor with
+    d = 1 (no prime factor below 4096) may be a perfect power root**k
+    (k prime), whose root is factored once and counted k times; what is
+    left, including a cofactor equal to its d (squarefree, every factor
+    below 4096), is split by Brent rho. There is no effort budget yet:
+    rho's cost grows as the square root of the second largest prime
     factor, so gcds of chains with n >= 192 may not finish.
     """
     if x < 1:
@@ -245,7 +267,13 @@ def factorize(x: int) -> dict[int, int]:
         if is_prime(m):
             factors[m] = factors.get(m, 0) + e
             continue
-        power = _perfect_power(m)
+        d = math.gcd(m, _small_prime_product())
+        if 1 < d < m:
+            stack.append((d, e))
+            stack.append((m // d, e))
+            continue
+        # A squarefree m (d == m) is no perfect power.
+        power = None if d == m else _perfect_power(m)
         if power:
             root, k = power
             stack.append((root, e * k))

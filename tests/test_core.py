@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -240,6 +241,17 @@ class TestCyclicCorrelate:
         ([2**800] * 16, [1, -(2**800)] + [2**800] * 14),
     ])
     def test_negative_values_are_invalid(self, a, b):
+        with pytest.raises(InvalidGeneratorError):
+            cyclic_correlate(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ([2.5, 1], [1, 2]),  # one multiply, float maximum
+        ([1.5] + [2**80] * 3, [1] * 4),  # slots over 8 bytes, float not the maximum
+        ([2.5] + [2] * 1599, [1] * 1600),  # two points, float maximum
+        ([Fraction(3), 1], [1, 2]),  # a Fraction maximum
+        ([1.5, 2], [1, 2]),  # struct lanes, float not the maximum
+    ], ids=["one-multiply", "wide-slots", "two-point", "fraction", "struct-lanes"])
+    def test_non_integer_values_are_invalid(self, a, b):
         with pytest.raises(InvalidGeneratorError):
             cyclic_correlate(a, b)
 

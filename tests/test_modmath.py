@@ -28,6 +28,22 @@ def _trial_division_prime(n: int) -> bool:
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def _trial_division_factors(n: int) -> dict[int, int]:
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+_PRIMES_TO_4200 = [p for p in range(2, 4200) if _trial_division_prime(p)]
+
+
 def _next_prime(n: int) -> int:
     while not is_prime(n):
         n += 1
@@ -234,8 +250,9 @@ class TestFactorize:
     @pytest.mark.parametrize(
         "x, factors, rho_calls",
         [
-            # rho splits off q; the p**2 left over is a perfect power.
-            (_P40**2 * 1009, {1009: 1, _P40: 2}, [_P40**2 * 1009]),
+            # rho splits off q, the least prime above the small-prime
+            # split; the p**2 left over is a perfect power.
+            (_P40**2 * 4099, {4099: 1, _P40: 2}, [_P40**2 * 4099]),
             # A composite root is split once, not once per copy. (p*q)**6
             # is first seen as a square, then its root as a cube.
             *(
@@ -258,6 +275,74 @@ class TestFactorize:
         monkeypatch.setattr(modmath, "_brent_rho", counting_rho)
         assert factorize(x) == factors
         assert calls == rho_calls
+
+    @pytest.mark.parametrize("x, factors", [
+        (_P40**2 * 1009, {1009: 1, _P40: 2}),
+        (_P40 * 4093**2, {4093: 2, _P40: 1}),
+    ])
+    def test_factor_below_split_bound_splits_without_rho(self, monkeypatch, x, factors):
+        def no_rho(n):
+            raise AssertionError(f"Brent rho called on {n}")
+
+        monkeypatch.setattr(modmath, "_brent_rho", no_rho)
+        assert factorize(x) == factors
+
+    @pytest.mark.parametrize("x, factors", [
+        (43 * 47 * 53, {43: 1, 47: 1, 53: 1}),
+        (4091 * 4093, {4091: 1, 4093: 1}),
+        (_P40 * 1009**2, {1009: 2, _P40: 1}),
+        (_P20 * _P21 * 4093 * 4099**3, {4093: 1, 4099: 3, _P20: 1, _P21: 1}),
+    ])
+    def test_roots_are_tried_only_above_split_bound(self, monkeypatch, x, factors):
+        # _perfect_power's k <= bits // 12 needs a root of at least 4099.
+        perfect_power = modmath._perfect_power
+        small = math.prod(p for p in _PRIMES_TO_4200 if p < 4096)
+
+        def checked(m):
+            assert math.gcd(m, small) == 1, m
+            return perfect_power(m)
+
+        monkeypatch.setattr(modmath, "_perfect_power", checked)
+        assert factorize(x) == factors
+
+    def test_small_prime_product(self):
+        product = modmath._small_prime_product()
+        assert product.bit_length() == 5763
+        assert product == math.prod(p for p in _PRIMES_TO_4200 if 43 <= p < 4096)
+
+    @pytest.mark.parametrize("x", [
+        4093, 4099, 4093**2, 4099**2, 43 * 4093, 4093 * 4099, 4091 * 4093,
+        43**5 * 4093**3 * 4099**2,
+        math.prod(range(2, 60)),
+        math.prod(p for p in _PRIMES_TO_4200 if p < 600),
+        math.prod(p**2 for p in _PRIMES_TO_4200 if 43 <= p < 300),
+        math.prod(p for p in _PRIMES_TO_4200 if p >= 3900),
+    ])
+    def test_near_split_bound_against_trial_division(self, x):
+        assert factorize(x) == _trial_division_factors(x)
+
+    @given(
+        st.lists(st.sampled_from(_PRIMES_TO_4200), min_size=1, max_size=40),
+        st.sampled_from([1, _P20, _P40, _P20 * _P21]),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_products_of_many_small_primes(self, primes, large):
+        expected = Counter(primes) + Counter(factorize(large))
+        assert factorize(large * math.prod(primes)) == dict(sorted(expected.items()))
+
+    def test_perfect_power_roots_stop_at_twelfth_of_the_bits(self, monkeypatch):
+        tried = []
+        iroot = modmath._iroot
+
+        def counting_iroot(m, k):
+            tried.append(k)
+            return iroot(m, k)
+
+        monkeypatch.setattr(modmath, "_iroot", counting_iroot)
+        m = _P40 * _P21 * 4099  # 74 bits, no factor below 4096, not a power
+        assert modmath._perfect_power(m) is None
+        assert tried == [2, 3, 5]
+        assert modmath._perfect_power(4099**7) == (4099, 7)
 
     @given(st.integers(1, 2**300), st.integers(2, 60), st.integers(-1, 1))
     @settings(deadline=None, max_examples=300)

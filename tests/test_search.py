@@ -3,7 +3,7 @@
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nht import core, fixtures, modmath, search
@@ -11,6 +11,7 @@ from nht.cli import run_command
 from nht.errors import InvalidGeneratorError
 from nht.modmath import is_prime
 from nht.search import (
+    _chain_gram,
     doubling_chain,
     evaluate_candidate,
     search_seeds,
@@ -38,6 +39,47 @@ class TestDoublingChain:
     def test_start_too_small(self):
         with pytest.raises(InvalidGeneratorError):
             doubling_chain(7, 4, start=0)
+
+
+def _chain_t(seed, n, start):
+    """T = a * (6s + a * (2^n - 4)), with S(k) = (2^k + 2^(n-k)) * T / 12."""
+    return start * (6 * seed + start * (2**n - 4))
+
+
+class TestChainGram:
+    @given(st.integers(2, 2**64), st.integers(2, 130), st.integers(1, 2**64))
+    @example(2, 2, 1)
+    @example(2**64, 2, 2**64)
+    @example(7, 3, 2)
+    @example(2**64, 3, 2**64)
+    @settings(deadline=None, max_examples=200)
+    def test_closed_form_matches_kernel(self, seed, n, start):
+        gram = _chain_gram(seed, n, start)
+        assert gram == core.gram_lag_sums(doubling_chain(seed, n, start))
+        t = _chain_t(seed, n, start)
+        for k, lag_sum in enumerate(gram.lag_sums, 1):
+            x = 2**k + 2 ** (n - k)
+            assert x * t % 12 == 0
+            assert lag_sum == x * t // 12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shortest_chains(self, n):
+        # [s, a] has S(1) = 2as; [s, a, 2a] has S(1) = S(2) = 3as + 2a^2.
+        seed, start = 11, 5
+        lag = {2: 2 * start * seed, 3: 3 * start * seed + 2 * start**2}[n]
+        assert _chain_gram(seed, n, start).lag_sums == (lag,) * (n - 1)
+
+    @given(st.integers(2, 2**64), st.integers(2, 130), st.integers(1, 2**64))
+    @example(5, 2, 3)
+    @example(5, 3, 3)
+    @settings(deadline=None, max_examples=200)
+    def test_gcd_is_u_n_times_t_over_12(self, seed, n, start):
+        # gcd of 2^k + 2^(n-k) over k = 1..n-1: 4 at n = 2, 6 at odd n
+        # (3 divides 1 + 2^odd), 2 at even n >= 4 (lag 1 has one factor 2).
+        u = 4 if n == 2 else 6 if n % 2 else 2
+        chain = doubling_chain(seed, n, start)
+        assert u * _chain_t(seed, n, start) // 12 == core.discover_modulus(
+            core.gram_lag_sums(chain))
 
 
 class TestEvaluateCandidate:
@@ -151,6 +193,28 @@ class TestSearchSeeds:
         a = search_seeds([13, 2, 3, 11], 16, prime_only=True)
         b = search_seeds([2, 3, 11, 13], 16, prime_only=True)
         assert a == b
+
+    @given(
+        st.sets(st.integers(2, 400), min_size=1, max_size=4),
+        st.integers(2, 40),
+        st.integers(1, 64),
+        st.booleans(),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_candidates_match_the_kernel_path(self, seeds, n, start, prime_only):
+        report = search_seeds(seeds, n, prime_only=prime_only, start=start)
+        primes = sorted(s for s in seeds if is_prime(s))
+        assert report.candidates == tuple(
+            evaluate_candidate(doubling_chain(s, n, start), prime_only) for s in primes
+        )
+
+    def test_search_uses_the_closed_form_not_the_kernel(self, monkeypatch):
+        def no_kernel(g):
+            raise AssertionError("gram_lag_sums called")
+
+        expected = search_seeds([2, 3, 11, 13], 16, prime_only=True)
+        monkeypatch.setattr(search, "gram_lag_sums", no_kernel)
+        assert search_seeds([2, 3, 11, 13], 16, prime_only=True) == expected
 
     def test_valid_only_filter(self):
         full = search_seeds([2, 3], 16)
