@@ -13,8 +13,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from . import fixtures
 from .core import orthogonality_report
@@ -50,8 +49,7 @@ MAX_CHAIN_LENGTH = 1024
 MAX_START_BITS = 1024
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """What one invocation did: inputs read, files written, status."""
 
     command: str
@@ -129,12 +127,23 @@ def _build_parser() -> _Parser:
                        help="regenerate and check the bundled reference tables")
     p.add_argument("--out", metavar="DIR",
                    help="directory for the generated CSV reports")
+    parser.commands = sub.choices  # subcommand name -> its own _Parser
     return parser
 
 
 # Built once, at import, so in-process callers pay the argparse build once
 # and the help text always names the module's caps as imported.
 _PARSER = _build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_PARSER.parse_args(argv), reading each token once: a subcommand's own
+    parser takes the rest of argv, and only argv that names none (top-level
+    --help, a missing or unknown command) goes through _PARSER."""
+    sub = _PARSER.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def _load(token: str) -> SequenceFile:
@@ -424,7 +433,7 @@ def run_command(
     err = sys.stderr if err is None else err
     command = argv[0] if argv else ""
     try:
-        ns = _PARSER.parse_args(list(argv))
+        ns = _parse(list(argv))
         return _HANDLERS[ns.command](ns, out, err)
     except _HelpRequested as exc:
         out.write(exc.args[0])

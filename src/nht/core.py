@@ -49,9 +49,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     InvalidGeneratorError,
@@ -62,14 +61,45 @@ from .errors import (
 from .modmath import _sqrt_mod_prime, is_prime, mod_inverse
 
 
-@dataclass(frozen=True)
-class GeneratorSequence:
+class _Frozen:
+    """An immutable record whose __slots__ name its fields, set once in order
+    by __init__; equality and hashing go by the class and the field values."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for f, v in zip(self.__slots__, values):
+            object.__setattr__(self, f, v)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class GeneratorSequence(_Frozen):
     """Nonnegative integers, length >= 2, not all zero."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int]):
-        object.__setattr__(self, "values", tuple(values))
+        super().__init__(tuple(values))
         if len(self.values) < 2:
             raise InvalidGeneratorError(
                 f"need at least 2 values, got {len(self.values)}"
@@ -84,16 +114,13 @@ class GeneratorSequence:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ResidueSequence:
+class ResidueSequence(_Frozen):
     """A generator reduced modulo q: every value lies in [0, q)."""
 
-    values: tuple[int, ...]
-    modulus: int
+    __slots__ = ("values", "modulus")
 
     def __init__(self, values: Iterable[int], modulus: int):
-        object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "modulus", modulus)
+        super().__init__(tuple(values), modulus)
         if modulus < 2:
             raise InvalidModulusError(f"modulus must be >= 2, got {modulus}")
         if len(self.values) < 2:
@@ -117,16 +144,14 @@ def _values(seq) -> tuple[int, ...]:
     return tuple(seq)
 
 
-@dataclass(frozen=True)
-class GramSummary:
+class GramSummary(NamedTuple):
     """The distinct entries of N * N^T: one diagonal, n-1 lag sums."""
 
     diagonal: int
     lag_sums: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     """Result of checking N * N^T == r * I modulo q for one sequence."""
 
     modulus: int
@@ -278,7 +303,7 @@ def gram_lag_sums(g: GeneratorSequence | Sequence[int]) -> GramSummary:
     if not isinstance(g, GeneratorSequence):
         g = GeneratorSequence(_values(g))
     c = cyclic_correlate(g.values, g.values)
-    return GramSummary(diagonal=c[0], lag_sums=tuple(c[1:]))
+    return GramSummary(c[0], tuple(c[1:]))
 
 
 def discover_modulus(gram: GramSummary) -> int:
@@ -334,12 +359,7 @@ def _verdict(gram: GramSummary, q: int, prime: bool | None = None) -> Orthogonal
         w = normalizer(r, q)
     else:
         w = _prime_normalizer(r, q) if prime else None
-    return OrthogonalityReport(
-        modulus=q,
-        diagonal_residue=r,
-        offdiag_residues=offdiag,
-        normalizer=w,
-    )
+    return OrthogonalityReport(q, r, offdiag, w)
 
 
 def orthogonality_report(s: ResidueSequence) -> OrthogonalityReport:

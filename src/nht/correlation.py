@@ -26,9 +26,8 @@ summed over all lags 0..N-1 and kept as an exact Fraction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import ResidueSequence, _values, cyclic_correlate
 from .errors import ConventionError, InvalidModulusError, NonInvertibleError, ShapeError
@@ -42,8 +41,7 @@ class Convention(enum.Enum):
     SCALED = "scaled"
 
 
-@dataclass(frozen=True)
-class CorrelationSeries:
+class CorrelationSeries(NamedTuple):
     """Per-lag correlation of two length-N sequences modulo q."""
 
     length: int
@@ -58,8 +56,7 @@ class CorrelationSeries:
         return tuple(Fraction(r, self.modulus) for r in self.residues)
 
 
-@dataclass(frozen=True)
-class PairTableRow:
+class PairTableRow(NamedTuple):
     """One ordered pair (i, j), measured with sequence i's modulus."""
 
     i: int
@@ -69,8 +66,7 @@ class PairTableRow:
     complementary: bool
 
 
-@dataclass(frozen=True)
-class DeviationRow:
+class DeviationRow(NamedTuple):
     i: int
     j: int
     modulus: int
@@ -79,8 +75,7 @@ class DeviationRow:
     deviation: Fraction
 
 
-@dataclass(frozen=True)
-class ConventionProfile:
+class ConventionProfile(NamedTuple):
     convention: Convention
     rows: tuple[DeviationRow, ...]
 
@@ -89,8 +84,7 @@ class ConventionProfile:
         return max(row.deviation for row in self.rows)
 
 
-@dataclass(frozen=True)
-class ConventionReport:
+class ConventionReport(NamedTuple):
     """Both candidate profiles plus the choice; nothing is thrown away."""
 
     chosen: Convention
@@ -134,13 +128,7 @@ def circular_crosscorr(
     if n < 2:
         raise ShapeError(f"need at least 2 values, got {n}")
     raw = tuple(cyclic_correlate(av, bv))
-    return CorrelationSeries(
-        length=n,
-        modulus=q,
-        convention=convention,
-        raw_sums=raw,
-        residues=_residues(raw, n, q, convention),
-    )
+    return CorrelationSeries(n, q, convention, raw, _residues(raw, n, q, convention))
 
 
 def circular_autocorr(
@@ -188,13 +176,7 @@ def pair_table(
             expectations[(i, j)] = expectation_measure(series)
     lo, hi = COMPLEMENTARY_BAND
     return [
-        PairTableRow(
-            i=i,
-            j=j,
-            modulus=seqs[i - 1].modulus,
-            expectation=e,
-            complementary=lo <= e + expectations[(j, i)] <= hi,
-        )
+        PairTableRow(i, j, seqs[i - 1].modulus, e, lo <= e + expectations[(j, i)] <= hi)
         for (i, j), e in sorted(expectations.items())
     ]
 
@@ -203,18 +185,10 @@ def _profile(measured: Sequence[tuple], convention: Convention) -> ConventionPro
     rows = []
     for (i, j), target, raw in measured:
         residues = _residues(raw.raw_sums, raw.length, raw.modulus, convention)
-        e = expectation_measure(replace(raw, convention=convention, residues=residues))
-        rows.append(
-            DeviationRow(
-                i=i,
-                j=j,
-                modulus=raw.modulus,
-                expectation=e,
-                target=Fraction(target),
-                deviation=abs(e - Fraction(target)),
-            )
-        )
-    return ConventionProfile(convention=convention, rows=tuple(rows))
+        e = expectation_measure(raw._replace(convention=convention, residues=residues))
+        target = Fraction(target)
+        rows.append(DeviationRow(i, j, raw.modulus, e, target, abs(e - target)))
+    return ConventionProfile(convention, tuple(rows))
 
 
 def resolve_convention(

@@ -18,8 +18,7 @@ verdict still re-checks every lag sum against the chosen modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     GeneratorSequence,
@@ -34,8 +33,7 @@ from .errors import InvalidGeneratorError
 from .modmath import is_prime, largest_prime_factor
 
 
-@dataclass(frozen=True)
-class SearchCandidate:
+class SearchCandidate(NamedTuple):
     """One evaluated generator; valid means a usable modulus was found."""
 
     seed: int
@@ -51,8 +49,7 @@ class SearchCandidate:
     diagnostic: str = ""
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Candidates in ascending seed order plus rejected-seed diagnostics."""
 
     candidates: tuple[SearchCandidate, ...]

@@ -20,10 +20,9 @@ leaves a half-written file behind.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ResidueSequence
+from .core import ResidueSequence, _Frozen
 from .correlation import CorrelationSeries, PairTableRow, expectation_string
 from .errors import InvalidModulusError, SequenceFileError
 
@@ -37,16 +36,14 @@ _KEYS = ("name", "n", "modulus", "values")
 MAX_MODULUS_BITS = 3072
 
 
-@dataclass(frozen=True)
-class SequenceFile:
+class SequenceFile(_Frozen):
     """One named sequence record, with or without an attached modulus."""
 
-    name: str
-    n: int
-    values: tuple[int, ...]
-    modulus: int | None = None
+    __slots__ = ("name", "n", "values", "modulus")
 
-    def __post_init__(self):
+    def __init__(self, name: str, n: int, values: tuple[int, ...],
+                 modulus: int | None = None):
+        super().__init__(name, n, values, modulus)
         if not self.name or any(c.isspace() for c in self.name):
             raise SequenceFileError(f"bad sequence name {self.name!r}")
         if self.n < 2:

@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, CSV output, reproduction run."""
 
+import argparse
 import hashlib
 import io
 import os
+import pickle
 import subprocess
 import sys
 
@@ -10,7 +12,9 @@ import pytest
 
 from nht import cli, fixtures
 from nht.cli import run_command
-from nht.correlation import circular_autocorr
+from nht.core import GeneratorSequence, gram_lag_sums, orthogonality_report
+from nht.correlation import circular_autocorr, pair_table
+from nht.search import search_seeds
 from nht.seqio import (
     MAX_MODULUS_BITS,
     SequenceFile,
@@ -177,6 +181,12 @@ class TestSearch:
     def test_bad_seeds_argument(self):
         report, _, err = run(["search", "--seeds", "2,x", "--n", "16"])
         assert report.exit_status == 2
+
+    def test_empty_seed_range(self):
+        report, out, err = run(["search", "--seeds", "5..3", "--n", "16"])
+        assert report.exit_status == 2
+        assert out == ""
+        assert err == "usage error: empty seed range '5..3'\n"
 
     def test_seed_range_wider_than_cap_is_usage_error(self):
         report, out, err = run(["search", "--seeds", "2..100000000", "--n", "16"])
@@ -463,6 +473,123 @@ def sha256(text):
 
 
 EMPTY = sha256("")
+
+
+class TestOnePassParse:
+    """run_command hands a subcommand's argv to that subcommand's own parser,
+    so each token is parsed once; the two-pass _PARSER.parse_args is the
+    oracle for every namespace, usage error and help text."""
+
+    VALID = [
+        ["verify", "example1", "example2"],
+        ["verify", "--", "example1"],
+        ["autocorr", "example4"],
+        ["autocorr", "--convention", "auto", "--out", "a.csv", "example1"],
+        ["autocorr", "example1", "--conv", "scaled"],
+        ["xcorr", "example1", "example2", "--modulus-of=b"],
+        ["xcorr", "--modulus-of", "b", "--convention", "raw", "example1", "example2"],
+        ["expect", "example1", "example2", "--conv", "scaled"],
+        ["expect", "--", "example1", "example2"],
+        ["search", "--seeds", "2..50", "--n", "16", "--prime-only"],
+        ["search", "--n=16", "--start", "3", "--valid-only", "--seeds=2,3", "--out", "s.csv"],
+        ["reproduce"],
+        ["reproduce", "--out", "rep"],
+    ]
+    INVALID = [
+        ["autocorr", "example4", "--frobnicate"],
+        ["xcorr", "example1", "example2", "--convention", "odd"],
+        ["search", "--seeds", "2..50"],
+        ["expect", "example1", "example2", "example3"],
+        ["verify"],
+        [],
+        ["bogus", "example1"],
+    ]
+
+    @staticmethod
+    def outcome(parse, argv):
+        try:
+            return parse(list(argv))
+        except (cli._UsageError, cli._HelpRequested) as exc:
+            return type(exc), exc.args
+
+    def test_subcommands_have_their_own_parsers(self):
+        assert sorted(cli._PARSER.commands) == sorted(cli._HANDLERS)
+        assert all(isinstance(p, cli._Parser) for p in cli._PARSER.commands.values())
+
+    @pytest.mark.parametrize("argv", VALID, ids=" ".join)
+    def test_same_namespace(self, argv):
+        ns = self.outcome(cli._parse, argv)
+        assert isinstance(ns, argparse.Namespace)
+        assert ns.command == argv[0]
+        assert ns == self.outcome(cli._PARSER.parse_args, argv)
+
+    @pytest.mark.parametrize("argv", INVALID, ids=lambda argv: " ".join(argv) or "empty")
+    def test_same_usage_error(self, argv):
+        expected = self.outcome(cli._PARSER.parse_args, argv)
+        assert expected[0] is cli._UsageError
+        assert self.outcome(cli._parse, argv) == expected
+        report, out, err = run(argv)
+        assert report.exit_status == 2
+        assert out == ""
+        assert err == f"usage error: {expected[1][0]}\n"
+
+    def test_same_subcommand_help(self):
+        expected = self.outcome(cli._PARSER.parse_args, ["search", "-h"])
+        assert expected[0] is cli._HelpRequested
+        assert self.outcome(cli._parse, ["search", "-h"]) == expected
+        report, out, err = run(["search", "-h"])
+        assert (report.exit_status, out, err) == (0, expected[1][0], "")
+
+    def test_subparsers_found_through_the_current_parser(self, monkeypatch):
+        # A parser swapped in for _PARSER, as run_fresh does, is the one used.
+        fresh = cli._build_parser()
+        fresh.commands["autocorr"].set_defaults(convention="scaled")
+        monkeypatch.setattr(cli, "_PARSER", fresh)
+        assert run(["autocorr", "example4"])[0].convention == "scaled"
+
+
+class TestRecords:
+    """Records are NamedTuples or __slots__ classes: immutable, compared by
+    value, and built without generating code at import."""
+
+    def test_import_skips_dataclasses_and_inspect(self):
+        script = (
+            "import sys, nht.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        assert python_c(script).strip() == "[]"
+
+    @staticmethod
+    def records():
+        sf = fixtures.fixture("example4")
+        calibration = cli._bundled_calibration()[0]
+        search = search_seeds([2], 16, prime_only=True)
+        rows = [s.residue_sequence() for s in fixtures.example_rows(2)]
+        return [
+            GeneratorSequence(sf.values), sf.residue_sequence(), sf,
+            gram_lag_sums(sf.values), orthogonality_report(sf.residue_sequence()),
+            circular_autocorr(sf.residue_sequence()), pair_table(rows)[0],
+            calibration.raw.rows[0], calibration.raw, calibration,
+            search.candidates[0], search, run(["verify", "example4"])[0],
+        ]
+
+    def test_every_record_is_immutable(self):
+        records = self.records()
+        assert len({type(r).__name__ for r in records}) == 13
+        for record in records:
+            name = (getattr(record, "_fields", None) or record.__slots__)[0]
+            before = getattr(record, name)
+            for mutate in (lambda: setattr(record, name, None),
+                           lambda: delattr(record, name),
+                           lambda: setattr(record, "extra", 1)):
+                with pytest.raises(AttributeError):
+                    mutate()
+            assert getattr(record, name) is before
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_records_survive_pickling(self):
+        for record in self.records():
+            assert pickle.loads(pickle.dumps(record)) == record
 
 
 class TestPinnedOutputs:

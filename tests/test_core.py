@@ -137,6 +137,19 @@ class TestTypes:
         with pytest.raises(InvalidModulusError):
             ResidueSequence([0, 0], 1)
 
+    def test_value_equality_and_hash(self):
+        a, b = ResidueSequence([1, 2, 3], 5), ResidueSequence((1, 2, 3), 5)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != ResidueSequence([1, 2, 3], 7)
+        assert GeneratorSequence([1, 2]) == GeneratorSequence((1, 2))
+        assert repr(a) == "ResidueSequence(values=(1, 2, 3), modulus=5)"
+
+    def test_generator_never_equals_residue(self):
+        g, s = GeneratorSequence([1, 2, 3]), ResidueSequence([1, 2, 3], 5)
+        assert g.values == s.values
+        assert g != s and s != g
+        assert g != (1, 2, 3) and s != ((1, 2, 3), 5)
+
 
 class TestCirculant:
     def test_first_row_interleaves(self):
@@ -553,6 +566,7 @@ class TestTransformPlans:
         forward_transform(ResidueSequence(self.VALUES, 101), block)
         forward_transform(ResidueSequence(list(self.VALUES), 101), block)
         assert _plan.cache_info().hits == 1
+        assert _plan.cache_info().currsize == 1
 
 
 class TestOrthogonalityReport:

@@ -145,6 +145,21 @@ class TestResolveConvention:
         assert len(report.scaled.rows) == 12
         assert report.rejected() is report.scaled
 
+    def test_scaled_targets_choose_scaled(self):
+        # Targets read off the SCALED profile of the bundled rows: SCALED
+        # meets them exactly, and RAW (which misses the reference targets
+        # by under 0.01) misses these by more than 0.5.
+        seqs = _examples()
+        reference = resolve_convention(seqs, fixtures.REFERENCE_EXPECTATIONS)
+        targets = {(row.i, row.j): row.expectation for row in reference.scaled.rows}
+        report = resolve_convention(seqs, targets)
+        assert report.chosen is Convention.SCALED
+        assert report.scaled.max_deviation == 0
+        assert report.raw.max_deviation > Fraction(1, 2)
+        assert report.rejected() is report.raw
+        assert report.rejected().convention is Convention.RAW
+        assert report.profile(Convention.SCALED) is report.scaled
+
     def test_tie_prefers_raw(self):
         # Length 16 mod 5 means the scale factor is 1, so both
         # conventions coincide and the tie must resolve to RAW.
