@@ -327,21 +327,19 @@ def _convention_csv(report) -> str:
     return "\n".join(out) + "\n"
 
 
-def _cmd_reproduce(ns, out, err) -> RunReport:
+@functools.cache
+def _reproduction() -> tuple[str, int, str, tuple[tuple[str, str], ...]]:
+    """reproduce's PASS/FAIL text, failure count, chosen convention and
+    three (file name, CSV text) reports. They depend only on constant
+    fixture data, so the checks run once per process, on first use."""
     tolerance = 0.01
-    failures = 0
-    outputs: list[str] = []
-    if ns.out:
-        os.makedirs(ns.out, exist_ok=True)
+    lines: list[str] = []
 
     def check(ok: bool, label: str):
-        nonlocal failures
-        failures += 0 if ok else 1
-        print(("PASS" if ok else "FAIL") + " " + label, file=out)
+        lines.append(("PASS " if ok else "FAIL ") + label + "\n")
 
-    rows = fixtures.example_rows(6)
     verification_lines = ["name,modulus,diagonal_residue,normalizer,self_orthogonal"]
-    for sf in rows:
+    for sf in fixtures.example_rows(6):
         report = orthogonality_report(sf.residue_sequence())
         zero = sum(1 for r in report.offdiag_residues if r == 0)
         check(
@@ -396,22 +394,31 @@ def _cmd_reproduce(ns, out, err) -> RunReport:
         f"chain regeneration: seeds 2,3,11,13 -> moduli {moduli} match bundled rows",
     )
 
-    if ns.out:
-        for fname, text in (
+    return (
+        "".join(lines),
+        sum(line.startswith("FAIL") for line in lines),
+        conv_report.chosen.value,
+        (
             ("verification.csv", "\n".join(verification_lines) + "\n"),
             ("pair_expectations.csv", emit_pair_table_csv(table)),
             ("convention_profiles.csv", _convention_csv(conv_report)),
-        ):
-            path = os.path.join(ns.out, fname)
-            write_text_atomic(path, text)
-            outputs.append(path)
+        ),
+    )
 
+
+def _cmd_reproduce(ns, out, err) -> RunReport:
+    text, failures, convention, reports = _reproduction()
+    paths: tuple[str, ...] = ()
+    if ns.out:
+        # Before any stdout, so a bad --out exits 2 with nothing printed.
+        os.makedirs(ns.out, exist_ok=True)
+        paths = tuple(os.path.join(ns.out, fname) for fname, _ in reports)
+    out.write(text)
+    for path, (_, csv) in zip(paths, reports):
+        write_text_atomic(path, csv)
     return RunReport(
-        command="reproduce",
-        exit_status=1 if failures else 0,
-        inputs=tuple(fixtures.fixture_names()),
-        outputs=tuple(outputs),
-        convention=conv_report.chosen.value,
+        command="reproduce", exit_status=1 if failures else 0,
+        inputs=tuple(fixtures.BUNDLED), outputs=paths, convention=convention,
     )
 
 

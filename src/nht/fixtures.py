@@ -60,19 +60,6 @@ REFERENCE_EXPECTATIONS: dict[tuple[int, int], Fraction] = {
 }
 
 
-def fixture_names() -> tuple[str, ...]:
-    return tuple(BUNDLED)
-
-
-def fixture(name: str) -> SequenceFile:
-    try:
-        return BUNDLED[name]
-    except KeyError:
-        raise KeyError(
-            f"no bundled sequence {name!r}; have {', '.join(BUNDLED)}"
-        ) from None
-
-
 def example_rows(count: int = 6) -> list[SequenceFile]:
     """The first `count` example rows, in index order."""
     return [BUNDLED[f"example{i}"] for i in range(1, count + 1)]

@@ -10,8 +10,8 @@ A sequence file is plain UTF-8 key/value text:
 Blank lines and lines starting with # are ignored. The modulus line is
 optional (raw chains have none), at most MAX_MODULUS_BITS wide, every
 value must sit below it when it is present, and the value count must
-match n. Emission is canonical: fixed key order, single spaces, one
-trailing newline, so equal records always serialize to equal bytes.
+match n. The package only reads sequence files; the tests' canonical
+writer, tests/oracles.py:emit_sequence_file, is its exact inverse.
 
 All file writes go through an atomic write-then-rename so a crash never
 leaves a half-written file behind.
@@ -36,7 +36,13 @@ _KEYS = ("name", "n", "modulus", "values")
 MAX_MODULUS_BITS = 3072
 
 
-class SequenceFile(_Frozen):
+class _RowSlot(_Frozen):
+    # A slot outside the record's fields: _Frozen compares, hashes, prints
+    # and pickles only the subclass's own __slots__.
+    __slots__ = ("_row",)
+
+
+class SequenceFile(_RowSlot):
     """One named sequence record, with or without an attached modulus."""
 
     __slots__ = ("name", "n", "values", "modulus")
@@ -64,9 +70,15 @@ class SequenceFile(_Frozen):
                 )
 
     def residue_sequence(self) -> ResidueSequence:
+        """The values under the modulus, built on the first call and kept."""
         if self.modulus is None:
             raise InvalidModulusError(f"sequence {self.name!r} has no modulus")
-        return ResidueSequence(self.values, self.modulus)
+        try:
+            return self._row
+        except AttributeError:
+            row = ResidueSequence(self.values, self.modulus)
+            object.__setattr__(self, "_row", row)
+            return row
 
 
 def parse_sequence_file(text: str) -> SequenceFile:
@@ -110,15 +122,6 @@ def parse_sequence_file(text: str) -> SequenceFile:
         return SequenceFile(name=fields["name"], n=n, values=values, modulus=modulus)
     except SequenceFileError as exc:
         raise SequenceFileError(str(exc), line=lines["values"]) from None
-
-
-def emit_sequence_file(sf: SequenceFile) -> str:
-    """Canonical text form; parse_sequence_file inverts it exactly."""
-    lines = [f"name: {sf.name}", f"n: {sf.n}"]
-    if sf.modulus is not None:
-        lines.append(f"modulus: {sf.modulus}")
-    lines.append("values: " + " ".join(str(v) for v in sf.values))
-    return "\n".join(lines) + "\n"
 
 
 def load_sequence_file(path: str) -> SequenceFile:

@@ -1,9 +1,12 @@
-"""Slow, obviously-correct reference forms that the tests compare against.
+"""Slow, obviously-correct reference forms that the tests compare against,
+and the test-only helpers the package itself never calls.
 
 The package computes every correlation with one big-integer kernel and
 never builds the circulant; these plain loops and full matrix products
 are what it is checked against.
 """
+
+from nht.fixtures import BUNDLED
 
 
 def circulant_rows(values):
@@ -33,3 +36,23 @@ def naive_correlate(a, b):
 def diagonal_residue(values, q):
     """r = the sum of squared values mod q."""
     return sum(v * v for v in values) % q
+
+
+def fixture(name):
+    """The bundled sequence called name; a KeyError lists the known names."""
+    try:
+        return BUNDLED[name]
+    except KeyError:
+        raise KeyError(
+            f"no bundled sequence {name!r}; have {', '.join(BUNDLED)}"
+        ) from None
+
+
+def emit_sequence_file(sf):
+    """Canonical text form: fixed key order, single spaces, one trailing
+    newline; nht.seqio.parse_sequence_file inverts it exactly."""
+    lines = [f"name: {sf.name}", f"n: {sf.n}"]
+    if sf.modulus is not None:
+        lines.append(f"modulus: {sf.modulus}")
+    lines.append("values: " + " ".join(str(v) for v in sf.values))
+    return "\n".join(lines) + "\n"

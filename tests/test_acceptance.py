@@ -28,8 +28,8 @@ from nht.correlation import (
 )
 from nht.modmath import factorize
 from nht.search import doubling_chain, evaluate_candidate
-from nht.seqio import SequenceFile, emit_sequence_file
-from oracles import diagonal_residue, matrix_gram
+from nht.seqio import SequenceFile
+from oracles import diagonal_residue, emit_sequence_file, fixture, matrix_gram
 
 TOLERANCE = Fraction(1, 100)
 
@@ -69,11 +69,11 @@ def _check(ok: bool, label: str):
 
 
 def _rows():
-    return [fixtures.fixture(f"example{i}") for i in range(1, 7)]
+    return [fixture(f"example{i}") for i in range(1, 7)]
 
 
 def _example_seqs(count=4):
-    return [fixtures.fixture(f"example{i}").residue_sequence()
+    return [fixture(f"example{i}").residue_sequence()
             for i in range(1, count + 1)]
 
 
@@ -196,7 +196,7 @@ def test_criterion_07_seed_search_reproduces_bundled_rows(tmp_path):
     byte_equal = True
     for line in lines:
         cells = line.split(",")
-        target = fixtures.fixture(targets[int(cells[0])])
+        target = fixture(targets[int(cells[0])])
         regenerated = SequenceFile(
             name=target.name,
             n=16,

@@ -19,9 +19,9 @@ from nht.seqio import (
     MAX_MODULUS_BITS,
     SequenceFile,
     emit_correlation_csv,
-    emit_sequence_file,
     write_text_atomic,
 )
+from oracles import emit_sequence_file, fixture
 
 
 def run(argv):
@@ -66,7 +66,7 @@ class TestVerify:
         assert out.count("self-orthogonal") == 6
 
     def test_broken_row_fails_with_offenders(self, tmp_path):
-        values = list(fixtures.fixture("example4").values)
+        values = list(fixture("example4").values)
         values[0] = (values[0] + 1) % 331
         path = seq_file(tmp_path, "broken", values, modulus=331)
         report, out, _ = run(["verify", path])
@@ -102,7 +102,7 @@ class TestCorrelationCommands:
     def test_autocorr_stdout_matches_library(self):
         report, out, _ = run(["autocorr", "example4"])
         series = circular_autocorr(
-            fixtures.fixture("example4").residue_sequence()
+            fixture("example4").residue_sequence()
         )
         assert report.exit_status == 0
         assert out == emit_correlation_csv(series)
@@ -164,7 +164,7 @@ class TestSearch:
         values = [line.split(",")[8] for line in lines[1:]]
         expected = ["example4", "example3", "example5", "example6"]
         for cell, name in zip(values, expected):
-            assert cell == " ".join(str(v) for v in fixtures.fixture(name).values)
+            assert cell == " ".join(str(v) for v in fixture(name).values)
 
     def test_rejected_seed_diagnostic(self):
         report, out, err = run(["search", "--seeds", "4", "--n", "16"])
@@ -402,6 +402,55 @@ class TestBundledCalibration:
         assert "currsize=0" in python_c(script)
 
 
+class TestReproductionMemo:
+    """reproduce computes its report once per process and reuses it."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        cli._reproduction.cache_clear()
+        yield
+        cli._reproduction.cache_clear()
+
+    def test_checks_run_once_per_process(self, monkeypatch, tmp_path):
+        calls = []
+        for name in ("orthogonality_report", "search_seeds"):
+            def counting(*args, _real=getattr(cli, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counting)
+        for argv in (
+            ["reproduce"],
+            ["reproduce", "--out", str(tmp_path / "a")],
+            ["reproduce", "--out", str(tmp_path / "b")],
+        ):
+            assert run(argv)[0].exit_status == 0
+        # One pass: a verdict for each of the six bundled rows, one search.
+        assert calls.count("orthogonality_report") == 6
+        assert calls.count("search_seeds") == 1
+
+    def test_not_computed_at_import(self):
+        script = "import nht.cli; print(nht.cli._reproduction.cache_info())"
+        assert "currsize=0" in python_c(script)
+
+    def test_later_calls_match_the_pinned_digests(self, tmp_path):
+        for sub in ("first", "second", "third"):
+            check_pinned_reproduce(tmp_path / sub)
+        assert cli._reproduction.cache_info().misses == 1
+
+    def test_failing_check_exits_one(self, monkeypatch):
+        real = cli.search_seeds
+        # Without prime_only the moduli are the chain gcds, not the rows' primes.
+        monkeypatch.setattr(cli, "search_seeds", lambda seeds, n, **kw: real(seeds, n))
+        report, out, _ = run(["reproduce"])
+        assert report.exit_status == 1
+        assert out.count("PASS ") == 8
+        assert "\nFAIL chain regeneration: seeds 2,3,11,13 -> moduli 43692," in out
+        monkeypatch.undo()
+        cli._reproduction.cache_clear()
+        report, out, _ = run(["reproduce"])
+        assert report.exit_status == 0 and "FAIL" not in out
+
+
 class TestSharedParser:
     """run_command parses every argv with the one parser built at import."""
 
@@ -561,7 +610,7 @@ class TestRecords:
 
     @staticmethod
     def records():
-        sf = fixtures.fixture("example4")
+        sf = fixture("example4")
         calibration = cli._bundled_calibration()[0]
         search = search_seeds([2], 16, prime_only=True)
         rows = [s.residue_sequence() for s in fixtures.example_rows(2)]
@@ -590,6 +639,25 @@ class TestRecords:
     def test_records_survive_pickling(self):
         for record in self.records():
             assert pickle.loads(pickle.dumps(record)) == record
+
+
+def check_pinned_reproduce(out_dir):
+    """`reproduce --out out_dir` exits 0 with the pinned stdout and CSVs."""
+    report, out, _ = run(["reproduce", "--out", str(out_dir)])
+    assert report.exit_status == 0
+    assert sha256(out) == (
+        "5f9a9eec145fdc15abb603b0d5267e81a9aeedc2ca7586f9f05afe2731cde14f"
+    )
+    digests = {
+        "verification.csv":
+            "7cbddcb7fdd3ab3933cc9c0441f175c73c8419a796e154bb5b5b667aec199b68",
+        "pair_expectations.csv":
+            "1d6be629e33c84e35c89b981375c1a42f0648b50cee429fa9bbbb5e89e05e930",
+        "convention_profiles.csv":
+            "310bb8a35e4bd18feaf4b491c5c00c70cb2b7567d5d5bec98a66f30537b0f275",
+    }
+    for name, digest in digests.items():
+        assert sha256((out_dir / name).read_text()) == digest
 
 
 class TestPinnedOutputs:
@@ -632,21 +700,7 @@ class TestPinnedOutputs:
         assert sha256(err) == err_digest
 
     def test_reproduce(self, tmp_path):
-        report, out, _ = run(["reproduce", "--out", str(tmp_path)])
-        assert report.exit_status == 0
-        assert sha256(out) == (
-            "5f9a9eec145fdc15abb603b0d5267e81a9aeedc2ca7586f9f05afe2731cde14f"
-        )
-        digests = {
-            "verification.csv":
-                "7cbddcb7fdd3ab3933cc9c0441f175c73c8419a796e154bb5b5b667aec199b68",
-            "pair_expectations.csv":
-                "1d6be629e33c84e35c89b981375c1a42f0648b50cee429fa9bbbb5e89e05e930",
-            "convention_profiles.csv":
-                "310bb8a35e4bd18feaf4b491c5c00c70cb2b7567d5d5bec98a66f30537b0f275",
-        }
-        for name, digest in digests.items():
-            assert sha256((tmp_path / name).read_text()) == digest
+        check_pinned_reproduce(tmp_path)
 
 
 class TestUsage:

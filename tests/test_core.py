@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nht import fixtures
 from nht import core
 from nht.core import (
     _TWO_POINT_BYTES,
@@ -35,7 +34,9 @@ from nht.errors import (
     ShapeError,
 )
 from nht.search import doubling_chain, evaluate_candidate
-from oracles import circulant_rows, diagonal_residue, matrix_gram, naive_correlate
+from oracles import (
+    circulant_rows, diagonal_residue, fixture, matrix_gram, naive_correlate,
+)
 
 generators = st.lists(st.integers(0, 2**16 - 1), min_size=2, max_size=8).filter(any)
 
@@ -351,20 +352,20 @@ class TestDiagonalResidueAndNormalizer:
     def test_fixture_residues(self):
         expected = {1: 1, 2: 1, 3: 16, 4: 4, 5: 24, 6: 576}
         for i, r in expected.items():
-            report = orthogonality_report(fixtures.fixture(f"example{i}").residue_sequence())
+            report = orthogonality_report(fixture(f"example{i}").residue_sequence())
             assert report.diagonal_residue == r
 
     def test_fixture_normalizers(self):
         expected = {1: 1, 2: 1, 3: 2341, 4: 166, 5: 40, 6: 414}
         for i, w in expected.items():
-            sf = fixtures.fixture(f"example{i}")
+            sf = fixture(f"example{i}")
             r = orthogonality_report(sf.residue_sequence()).diagonal_residue
             assert normalizer(r, sf.modulus) == w
             assert w * w * r % sf.modulus == 1
 
     def test_normalized_row_has_unit_diagonal(self):
         for i in range(1, 7):
-            sf = fixtures.fixture(f"example{i}")
+            sf = fixture(f"example{i}")
             q = sf.modulus
             w = orthogonality_report(sf.residue_sequence()).normalizer
             scaled = [w * v % q for v in sf.values]
@@ -395,7 +396,7 @@ class TestReduceMod:
 
 class TestTransforms:
     def test_delta_block_reads_first_column(self):
-        sf = fixtures.fixture("example4")
+        sf = fixture("example4")
         s = sf.residue_sequence()
         delta = [1] + [0] * 31
         g = forward_transform(s, delta)
@@ -405,7 +406,7 @@ class TestTransforms:
     def test_round_trip_on_fixture_rows(self):
         rng = random.Random(20260817)
         for i in range(1, 7):
-            s = fixtures.fixture(f"example{i}").residue_sequence()
+            s = fixture(f"example{i}").residue_sequence()
             r = orthogonality_report(s).diagonal_residue
             for _ in range(5):
                 block = [rng.randrange(s.modulus) for _ in range(2 * s.n)]
@@ -415,7 +416,7 @@ class TestTransforms:
 
     def test_forward_matches_explicit_matrix_multiply(self):
         rng = random.Random(99)
-        s = fixtures.fixture("example5").residue_sequence()
+        s = fixture("example5").residue_sequence()
         rows = circulant_rows(s.values)
         d = 2 * s.n
         block = [rng.randrange(s.modulus) for _ in range(d)]
@@ -427,7 +428,7 @@ class TestTransforms:
 
     def test_inverse_matches_explicit_transpose_multiply(self):
         rng = random.Random(100)
-        s = fixtures.fixture("example5").residue_sequence()
+        s = fixture("example5").residue_sequence()
         q = s.modulus
         r = orthogonality_report(s).diagonal_residue
         rows = circulant_rows(s.values)
@@ -460,12 +461,12 @@ class TestTransforms:
         )
 
     def test_wrong_block_length(self):
-        s = fixtures.fixture("example1").residue_sequence()
+        s = fixture("example1").residue_sequence()
         with pytest.raises(ShapeError):
             forward_transform(s, [1, 2, 3])
 
     def test_non_invertible_diagonal(self):
-        s = fixtures.fixture("example1").residue_sequence()
+        s = fixture("example1").residue_sequence()
         with pytest.raises(NonInvertibleError):
             inverse_transform(s, [0] * 32, 0)
 
@@ -574,7 +575,7 @@ class TestOrthogonalityReport:
         identity = {1: True, 2: True, 3: False, 4: False, 5: False, 6: False}
         for i, flag in identity.items():
             rep = orthogonality_report(
-                fixtures.fixture(f"example{i}").residue_sequence()
+                fixture(f"example{i}").residue_sequence()
             )
             assert rep.is_self_orthogonal
             assert (rep.diagonal_residue == 1) is flag
@@ -582,7 +583,7 @@ class TestOrthogonalityReport:
             assert rep.normalizer is not None
 
     def test_corrupted_row_reports_offenders(self):
-        sf = fixtures.fixture("example4")
+        sf = fixture("example4")
         values = list(sf.values)
         values[3] += 1
         rep = orthogonality_report(ResidueSequence(values, sf.modulus))

@@ -18,13 +18,14 @@ from nht.correlation import (
     resolve_convention,
 )
 from nht.errors import ConventionError, InvalidModulusError, ShapeError
+from oracles import fixture
 
 values_lists = st.lists(st.integers(0, 500), min_size=2, max_size=12)
 moduli = st.sampled_from([2, 3, 5, 7, 13, 47, 331, 7283])
 
 
 def _examples(count=4):
-    return [fixtures.fixture(f"example{i}").residue_sequence()
+    return [fixture(f"example{i}").residue_sequence()
             for i in range(1, count + 1)]
 
 
@@ -36,7 +37,7 @@ class TestSeries:
         assert series.normalized[0] == Fraction(1, 5)
 
     def test_autocorr_is_self_crosscorr(self):
-        s = fixtures.fixture("example5").residue_sequence()
+        s = fixture("example5").residue_sequence()
         assert circular_autocorr(s) == circular_crosscorr(s, s, s.modulus)
 
     def test_scaled_small_case(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nht import core, fixtures, modmath, search
+from nht import core, modmath, search
 from nht.cli import run_command
 from nht.errors import InvalidGeneratorError
 from nht.modmath import is_prime
@@ -16,6 +16,7 @@ from nht.search import (
     evaluate_candidate,
     search_seeds,
 )
+from oracles import fixture
 
 REFERENCE_ROWS = {2: ("example4", 331), 3: ("example3", 3121),
              11: ("example5", 47), 13: ("example6", 1987)}
@@ -86,7 +87,7 @@ class TestEvaluateCandidate:
     def test_chains_regenerate_bundled_rows(self):
         for seed, (fixture_name, modulus) in REFERENCE_ROWS.items():
             cand = evaluate_candidate(doubling_chain(seed, 16), prime_only=True)
-            target = fixtures.fixture(fixture_name)
+            target = fixture(fixture_name)
             assert cand.valid
             assert cand.modulus == modulus
             assert cand.modulus_is_prime
@@ -142,7 +143,7 @@ class TestEvaluateCandidate:
         )
         assert cand.gcd == 144917623782
         assert cand.modulus == 21851
-        assert cand.reduced.values == fixtures.fixture("example2").values
+        assert cand.reduced.values == fixture("example2").values
 
     @given(st.lists(st.integers(0, 2**12), min_size=2, max_size=10).filter(any))
     @settings(deadline=None)

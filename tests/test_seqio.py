@@ -1,6 +1,7 @@
 """Sequence file parsing/emission and CSV output."""
 
 import os
+import pickle
 import stat
 from fractions import Fraction
 
@@ -15,11 +16,11 @@ from nht.seqio import (
     SequenceFile,
     emit_correlation_csv,
     emit_pair_table_csv,
-    emit_sequence_file,
     load_sequence_file,
     parse_sequence_file,
     write_text_atomic,
 )
+from oracles import emit_sequence_file
 
 names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=12
@@ -53,6 +54,16 @@ class TestSequenceFile:
     def test_conversions(self):
         sf = SequenceFile(name="x", n=2, values=(1, 2), modulus=5)
         assert sf.residue_sequence() == ResidueSequence((1, 2), 5)
+
+    def test_residue_row_built_once_outside_the_fields(self):
+        sf = SequenceFile(name="x", n=2, values=(1, 2), modulus=5)
+        twin = SequenceFile(name="x", n=2, values=(1, 2), modulus=5)
+        before = repr(sf), pickle.dumps(sf)
+        row = sf.residue_sequence()
+        assert sf.residue_sequence() is row
+        assert sf == twin and hash(sf) == hash(twin)
+        assert (repr(sf), pickle.dumps(sf)) == before
+        assert pickle.loads(pickle.dumps(sf)) == sf
 
     def test_residue_sequence_needs_modulus(self):
         sf = SequenceFile(name="x", n=2, values=(1, 2))
