@@ -16,7 +16,7 @@ import sys
 from typing import IO, NamedTuple, Sequence
 
 from . import fixtures
-from .core import orthogonality_report
+from .core import ResidueSequence, orthogonality_report
 from .correlation import (
     Convention,
     ConventionReport,
@@ -31,7 +31,6 @@ from .errors import NHTError
 from .modmath import is_prime
 from .search import search_seeds
 from .seqio import (
-    SequenceFile,
     emit_correlation_csv,
     emit_pair_table_csv,
     load_sequence_file,
@@ -146,7 +145,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
-def _load(token: str) -> SequenceFile:
+def _load(token: str) -> ResidueSequence:
     if token in fixtures.BUNDLED:
         return fixtures.BUNDLED[token]
     if os.path.isfile(token):
@@ -162,7 +161,7 @@ def _bundled_calibration() -> tuple[ConventionReport, tuple[PairTableRow, ...]]:
     Both depend only on constant fixture data, so they are computed on
     first use and kept for the rest of the process.
     """
-    seqs = [sf.residue_sequence() for sf in fixtures.example_rows(4)]
+    seqs = fixtures.example_rows(4)
     report = resolve_convention(seqs, fixtures.REFERENCE_EXPECTATIONS)
     return report, tuple(pair_table(seqs, report.chosen))
 
@@ -184,15 +183,17 @@ def _emit(text: str, out_path: str | None, stream: IO[str]) -> tuple[str, ...]:
 
 
 def _cmd_verify(ns, out, err) -> RunReport:
+    # Every operand is loaded and checked before the first line is printed,
+    # so a bad one exits 2 with nothing on stdout.
+    rows = [_load(token).residue_sequence() for token in ns.sequences]
+    reports = [orthogonality_report(row) for row in rows]
     failures = 0
-    for token in ns.sequences:
-        sf = _load(token)
-        report = orthogonality_report(sf.residue_sequence())
+    for row, report in zip(rows, reports):
         w = "-" if report.normalizer is None else str(report.normalizer)
         if report.is_self_orthogonal:
             print(
-                f"{sf.name}: q={report.modulus} r={report.diagonal_residue} "
-                f"w={w} lags 1..{sf.n - 1} all zero: self-orthogonal",
+                f"{row.name}: q={report.modulus} r={report.diagonal_residue} "
+                f"w={w} lags 1..{row.n - 1} all zero: self-orthogonal",
                 file=out,
             )
         else:
@@ -201,7 +202,7 @@ def _cmd_verify(ns, out, err) -> RunReport:
                 f"k={k} residue {r}" for k, r in report.offending_lags()
             )
             print(
-                f"{sf.name}: q={report.modulus} r={report.diagonal_residue} "
+                f"{row.name}: q={report.modulus} r={report.diagonal_residue} "
                 f"offending lags: {offending}",
                 file=out,
             )
@@ -339,19 +340,19 @@ def _reproduction() -> tuple[str, int, str, tuple[tuple[str, str], ...]]:
         lines.append(("PASS " if ok else "FAIL ") + label + "\n")
 
     verification_lines = ["name,modulus,diagonal_residue,normalizer,self_orthogonal"]
-    for sf in fixtures.example_rows(6):
-        report = orthogonality_report(sf.residue_sequence())
+    for row in fixtures.example_rows(6):
+        report = orthogonality_report(row)
         zero = sum(1 for r in report.offdiag_residues if r == 0)
         check(
             report.is_self_orthogonal,
-            f"row orthogonality: {sf.name} q={report.modulus} "
+            f"row orthogonality: {row.name} q={report.modulus} "
             f"r={report.diagonal_residue} ({zero}/{len(report.offdiag_residues)} "
             f"lag residues zero)",
         )
         w = "" if report.normalizer is None else str(report.normalizer)
         ortho = "true" if report.is_self_orthogonal else "false"
         verification_lines.append(
-            f"{sf.name},{report.modulus},{report.diagonal_residue},{w},{ortho}"
+            f"{row.name},{report.modulus},{report.diagonal_residue},{w},{ortho}"
         )
 
     conv_report, table = _bundled_calibration()

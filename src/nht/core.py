@@ -41,6 +41,14 @@ keyed on the row, the direction and the scale, holds the slot width
 already multiplied in. Each block half then costs one pack, the
 multiplies and one reduction mod q.
 
+Every row is one record, ResidueSequence: at least 2 nonnegative
+values, and, when it carries a modulus (a raw generator carries none),
+a modulus >= 2 with every value below it. Its __init__ is the only place
+those rules are checked; a sequence file adds only its format's own
+(keys, integers, n against the count, the name, the modulus width; see
+seqio). That a generator is not all zero is a rule of the Gram
+(_generator), so an all-zero row with no modulus still loads.
+
 All arithmetic is on plain Python integers (no wraparound), and every
 operation here is a pure function on immutable values.
 """
@@ -61,28 +69,54 @@ from .errors import (
 from .modmath import _sqrt_mod_prime, is_prime, mod_inverse
 
 
-class _Frozen:
-    """An immutable record whose __slots__ name its fields, set once in order
-    by __init__; equality and hashing go by the class and the field values."""
+class ResidueSequence:
+    """A row of at least 2 nonnegative integers, with the modulus it is
+    read under (None for a raw generator) and an optional name.
 
-    __slots__ = ()
+    With a modulus, it is at least 2 and every value lies below it.
+    Immutable; equality, hashing, repr and pickling go by the three fields.
+    """
 
-    def __init__(self, *values):
-        for f, v in zip(self.__slots__, values):
-            object.__setattr__(self, f, v)
+    __slots__ = ("values", "modulus", "name")
+
+    def __init__(self, values: Iterable[int], modulus: int | None = None,
+                 name: str | None = None):
+        # The modulus first, before values (reduce_mod's v % q) are read.
+        if modulus is not None and modulus < 2:
+            raise InvalidModulusError(f"modulus must be >= 2, got {modulus}")
+        values = tuple(values)
+        for field, value in zip(self.__slots__, (values, modulus, name)):
+            object.__setattr__(self, field, value)
+        if len(values) < 2:
+            raise InvalidGeneratorError(f"need at least 2 values, got {len(values)}")
+        if min(values) < 0:
+            raise InvalidGeneratorError("values must be nonnegative")
+        if modulus is not None and max(values) >= modulus:
+            bad = [v for v in values if v >= modulus]
+            raise InvalidGeneratorError(f"values {bad} not below modulus {modulus}")
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
+
+    def residue_sequence(self) -> ResidueSequence:
+        """This record, which must carry a modulus to be read as residues."""
+        if self.modulus is None:
+            raise InvalidModulusError(f"sequence {self.name!r} has no modulus")
+        return self
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
+        return self.values, self.modulus, self.name
 
     def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+        return self._key() == other._key() if isinstance(other, ResidueSequence) else NotImplemented
 
     def __hash__(self):
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        return (f"ResidueSequence(values={self.values!r}, "
+                f"modulus={self.modulus!r}, name={self.name!r})")
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"field {name!r} is read-only")
@@ -90,58 +124,21 @@ class _Frozen:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), self._key()
-
-
-class GeneratorSequence(_Frozen):
-    """Nonnegative integers, length >= 2, not all zero."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Iterable[int]):
-        super().__init__(tuple(values))
-        if len(self.values) < 2:
-            raise InvalidGeneratorError(
-                f"need at least 2 values, got {len(self.values)}"
-            )
-        if any(v < 0 for v in self.values):
-            raise InvalidGeneratorError("generator values must be nonnegative")
-        if not any(self.values):
-            raise InvalidGeneratorError("generator must have a nonzero value")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
-class ResidueSequence(_Frozen):
-    """A generator reduced modulo q: every value lies in [0, q)."""
-
-    __slots__ = ("values", "modulus")
-
-    def __init__(self, values: Iterable[int], modulus: int):
-        super().__init__(tuple(values), modulus)
-        if modulus < 2:
-            raise InvalidModulusError(f"modulus must be >= 2, got {modulus}")
-        if len(self.values) < 2:
-            raise InvalidGeneratorError(
-                f"need at least 2 values, got {len(self.values)}"
-            )
-        bad = [v for v in self.values if not 0 <= v < modulus]
-        if bad:
-            raise InvalidGeneratorError(
-                f"values {bad} out of range [0, {modulus})"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
+        return ResidueSequence, self._key()
 
 
 def _values(seq) -> tuple[int, ...]:
-    if isinstance(seq, (GeneratorSequence, ResidueSequence)):
-        return seq.values
-    return tuple(seq)
+    return seq.values if isinstance(seq, ResidueSequence) else tuple(seq)
+
+
+def _generator(g) -> ResidueSequence:
+    """g as a record with a nonzero value: an all-zero row's Gram is all
+    zero, so no modulus is discovered from it."""
+    if not isinstance(g, ResidueSequence):
+        g = ResidueSequence(g)
+    if not any(g.values):
+        raise InvalidGeneratorError("generator must have a nonzero value")
+    return g
 
 
 class GramSummary(NamedTuple):
@@ -294,14 +291,13 @@ def cyclic_correlate(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _correlate(_evaluations(a[::-1], w), _evaluations(b, w), n, w)
 
 
-def gram_lag_sums(g: GeneratorSequence | Sequence[int]) -> GramSummary:
+def gram_lag_sums(g: ResidueSequence | Sequence[int]) -> GramSummary:
     """Diagonal and circular lag sums of a generator, exactly.
 
     Equivalent to reading N * N^T off the full matrix product: the
     generator's cyclic self-correlation, whose lag 0 is the diagonal.
     """
-    if not isinstance(g, GeneratorSequence):
-        g = GeneratorSequence(_values(g))
+    g = _generator(g)
     c = cyclic_correlate(g.values, g.values)
     return GramSummary(c[0], tuple(c[1:]))
 
@@ -339,9 +335,7 @@ def _prime_normalizer(r: int, q: int) -> int | None:
 
 
 def reduce_mod(seq, q: int) -> ResidueSequence:
-    """Reduce each value mod q."""
-    if q < 2:
-        raise InvalidModulusError(f"modulus must be >= 2, got {q}")
+    """Reduce each value mod q; a q below 2 is refused before any is reduced."""
     return ResidueSequence((v % q for v in _values(seq)), q)
 
 
@@ -364,7 +358,7 @@ def _verdict(gram: GramSummary, q: int, prime: bool | None = None) -> Orthogonal
 
 def orthogonality_report(s: ResidueSequence) -> OrthogonalityReport:
     """Check one residue sequence for self-orthogonality mod its modulus."""
-    return _verdict(gram_lag_sums(s.values), s.modulus)
+    return _verdict(gram_lag_sums(s), s.modulus)
 
 
 @lru_cache(maxsize=8)

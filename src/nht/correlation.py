@@ -50,11 +50,6 @@ class CorrelationSeries(NamedTuple):
     raw_sums: tuple[int, ...]
     residues: tuple[int, ...]
 
-    @property
-    def normalized(self) -> tuple[Fraction, ...]:
-        """residue(k) / q for each lag, each in [0, 1)."""
-        return tuple(Fraction(r, self.modulus) for r in self.residues)
-
 
 class PairTableRow(NamedTuple):
     """One ordered pair (i, j), measured with sequence i's modulus."""

@@ -6,7 +6,7 @@ class NHTError(Exception):
 
 
 class InvalidGeneratorError(NHTError):
-    """Generator values violate an invariant (length, sign, or all-zero)."""
+    """Values violate an invariant (length, sign, range, or all-zero)."""
 
 
 class InvalidModulusError(NHTError):

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .core import ResidueSequence
 from .search import doubling_chain
-from .seqio import SequenceFile
 
 _ROWS = (
     ("example1", 7283,
@@ -32,13 +32,12 @@ _ROWS = (
 
 _CHAIN_SEEDS = (2, 3, 11, 13)
 
-BUNDLED: dict[str, SequenceFile] = {}
-for _name, _q, _vals in _ROWS:
-    BUNDLED[_name] = SequenceFile(name=_name, n=16, values=_vals, modulus=_q)
+BUNDLED: dict[str, ResidueSequence] = {
+    name: ResidueSequence(values, q, name) for name, q, values in _ROWS
+}
 for _seed in _CHAIN_SEEDS:
-    _chain = doubling_chain(_seed, 16)
-    BUNDLED[f"chain{_seed}"] = SequenceFile(
-        name=f"chain{_seed}", n=16, values=_chain.values
+    BUNDLED[f"chain{_seed}"] = ResidueSequence(
+        doubling_chain(_seed, 16).values, name=f"chain{_seed}"
     )
 
 # Reference expectations for ordered pairs of example1..example4, the
@@ -60,6 +59,6 @@ REFERENCE_EXPECTATIONS: dict[tuple[int, int], Fraction] = {
 }
 
 
-def example_rows(count: int = 6) -> list[SequenceFile]:
+def example_rows(count: int = 6) -> list[ResidueSequence]:
     """The first `count` example rows, in index order."""
     return [BUNDLED[f"example{i}"] for i in range(1, count + 1)]

@@ -21,9 +21,9 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
-    GeneratorSequence,
     GramSummary,
     ResidueSequence,
+    _generator,
     _verdict,
     discover_modulus,
     gram_lag_sums,
@@ -38,7 +38,7 @@ class SearchCandidate(NamedTuple):
 
     seed: int
     n: int
-    raw: GeneratorSequence
+    raw: ResidueSequence
     gcd: int
     modulus: int
     modulus_is_prime: bool = False
@@ -56,7 +56,7 @@ class SearchReport(NamedTuple):
     rejected: tuple[tuple[int, str], ...]
 
 
-def doubling_chain(seed: int, n: int, start: int = 2) -> GeneratorSequence:
+def doubling_chain(seed: int, n: int, start: int = 2) -> ResidueSequence:
     """[seed, start, 2*start, ..., start * 2^(n-2)]."""
     if n < 2:
         raise InvalidGeneratorError(f"chain length must be >= 2, got {n}")
@@ -64,7 +64,7 @@ def doubling_chain(seed: int, n: int, start: int = 2) -> GeneratorSequence:
         raise InvalidGeneratorError(f"chain seed must be >= 2, got {seed}")
     if start < 1:
         raise InvalidGeneratorError(f"chain start must be >= 1, got {start}")
-    return GeneratorSequence([seed] + [start << i for i in range(n - 1)])
+    return ResidueSequence([seed] + [start << i for i in range(n - 1)])
 
 
 def _chain_gram(seed: int, n: int, start: int) -> GramSummary:
@@ -102,7 +102,7 @@ def _chain_gram(seed: int, n: int, start: int) -> GramSummary:
 
 
 def evaluate_candidate(
-    raw: GeneratorSequence | Sequence[int], prime_only: bool = False
+    raw: ResidueSequence | Sequence[int], prime_only: bool = False
 ) -> SearchCandidate:
     """Discover, verify, and apply a modulus for one generator.
 
@@ -111,12 +111,11 @@ def evaluate_candidate(
     orthogonality reduction re-checks the lag sums against the selected
     modulus rather than trusting the discovery step, and supplies r and w.
     """
-    if not isinstance(raw, GeneratorSequence):
-        raw = GeneratorSequence(raw)
+    raw = _generator(raw)
     return _evaluate(raw, gram_lag_sums(raw), prime_only)
 
 
-def _evaluate(raw: GeneratorSequence, gram: GramSummary, prime_only: bool) -> SearchCandidate:
+def _evaluate(raw: ResidueSequence, gram: GramSummary, prime_only: bool) -> SearchCandidate:
     """evaluate_candidate for a generator whose Gram summary is known."""
     seed = raw.values[0]
     g = discover_modulus(gram)

@@ -7,11 +7,16 @@ A sequence file is plain UTF-8 key/value text:
     modulus: 331
     values: 2 2 4 8 16 32 64 128 256 181 31 62 124 248 165 330
 
-Blank lines and lines starting with # are ignored. The modulus line is
-optional (raw chains have none), at most MAX_MODULUS_BITS wide, every
-value must sit below it when it is present, and the value count must
-match n. The package only reads sequence files; the tests' canonical
-writer, tests/oracles.py:emit_sequence_file, is its exact inverse.
+Blank lines and lines starting with # are ignored. parse_sequence_file
+checks the format's own rules: known keys, each at most once, with name,
+n and values required; integer fields; a name without whitespace; n
+equal to the value count; and an optional modulus line (raw chains have
+none) at most MAX_MODULUS_BITS wide. The record it returns,
+core.ResidueSequence, checks the value rules (at least 2 values, none
+negative, a modulus >= 2 with every value below it); a breach of those
+is reported on the values line. The package only reads sequence files;
+the tests' canonical writer, tests/oracles.py:emit_sequence_file, is its
+exact inverse.
 
 All file writes go through an atomic write-then-rename so a crash never
 leaves a half-written file behind.
@@ -22,9 +27,9 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-from .core import ResidueSequence, _Frozen
+from .core import ResidueSequence
 from .correlation import CorrelationSeries, PairTableRow, expectation_string
-from .errors import InvalidModulusError, SequenceFileError
+from .errors import InvalidGeneratorError, InvalidModulusError, SequenceFileError
 
 _KEYS = ("name", "n", "modulus", "values")
 
@@ -36,52 +41,7 @@ _KEYS = ("name", "n", "modulus", "values")
 MAX_MODULUS_BITS = 3072
 
 
-class _RowSlot(_Frozen):
-    # A slot outside the record's fields: _Frozen compares, hashes, prints
-    # and pickles only the subclass's own __slots__.
-    __slots__ = ("_row",)
-
-
-class SequenceFile(_RowSlot):
-    """One named sequence record, with or without an attached modulus."""
-
-    __slots__ = ("name", "n", "values", "modulus")
-
-    def __init__(self, name: str, n: int, values: tuple[int, ...],
-                 modulus: int | None = None):
-        super().__init__(name, n, values, modulus)
-        if not self.name or any(c.isspace() for c in self.name):
-            raise SequenceFileError(f"bad sequence name {self.name!r}")
-        if self.n < 2:
-            raise SequenceFileError(f"n must be >= 2, got {self.n}")
-        if len(self.values) != self.n:
-            raise SequenceFileError(
-                f"n is {self.n} but {len(self.values)} values given"
-            )
-        if any(v < 0 for v in self.values):
-            raise SequenceFileError("values must be nonnegative")
-        if self.modulus is not None:
-            if self.modulus < 2:
-                raise SequenceFileError(f"modulus must be >= 2, got {self.modulus}")
-            bad = [v for v in self.values if v >= self.modulus]
-            if bad:
-                raise SequenceFileError(
-                    f"values {bad} not below modulus {self.modulus}"
-                )
-
-    def residue_sequence(self) -> ResidueSequence:
-        """The values under the modulus, built on the first call and kept."""
-        if self.modulus is None:
-            raise InvalidModulusError(f"sequence {self.name!r} has no modulus")
-        try:
-            return self._row
-        except AttributeError:
-            row = ResidueSequence(self.values, self.modulus)
-            object.__setattr__(self, "_row", row)
-            return row
-
-
-def parse_sequence_file(text: str) -> SequenceFile:
+def parse_sequence_file(text: str) -> ResidueSequence:
     """Parse sequence-file text, reporting the line of any problem."""
     fields: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -117,14 +77,20 @@ def parse_sequence_file(text: str) -> SequenceFile:
             f"modulus is {modulus.bit_length()} bits, wider than {MAX_MODULUS_BITS}",
             line=lines["modulus"],
         )
+    name = fields["name"]
+    if not name or any(c.isspace() for c in name):
+        raise SequenceFileError(f"bad sequence name {name!r}", line=lines["name"])
     values = tuple(_int("values", tok) for tok in fields["values"].split())
+    if len(values) != n:
+        raise SequenceFileError(f"n is {n} but {len(values)} values given",
+                                line=lines["values"])
     try:
-        return SequenceFile(name=fields["name"], n=n, values=values, modulus=modulus)
-    except SequenceFileError as exc:
+        return ResidueSequence(values, modulus, name)
+    except (InvalidGeneratorError, InvalidModulusError) as exc:
         raise SequenceFileError(str(exc), line=lines["values"]) from None
 
 
-def load_sequence_file(path: str) -> SequenceFile:
+def load_sequence_file(path: str) -> ResidueSequence:
     """Parse the file at path; unreadable or non-UTF-8 files raise SequenceFileError."""
     try:
         with open(path, encoding="utf-8") as fh:

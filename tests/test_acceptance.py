@@ -13,6 +13,7 @@ from fractions import Fraction
 from nht import fixtures
 from nht.cli import run_command
 from nht.core import (
+    ResidueSequence,
     forward_transform,
     gram_lag_sums,
     inverse_transform,
@@ -28,7 +29,6 @@ from nht.correlation import (
 )
 from nht.modmath import factorize
 from nht.search import doubling_chain, evaluate_candidate
-from nht.seqio import SequenceFile
 from oracles import diagonal_residue, emit_sequence_file, fixture, matrix_gram
 
 TOLERANCE = Fraction(1, 100)
@@ -197,11 +197,8 @@ def test_criterion_07_seed_search_reproduces_bundled_rows(tmp_path):
     for line in lines:
         cells = line.split(",")
         target = fixture(targets[int(cells[0])])
-        regenerated = SequenceFile(
-            name=target.name,
-            n=16,
-            values=tuple(int(v) for v in cells[8].split()),
-            modulus=int(cells[3]),
+        regenerated = ResidueSequence(
+            (int(v) for v in cells[8].split()), int(cells[3]), target.name
         )
         byte_equal = byte_equal and (
             emit_sequence_file(regenerated).encode()

@@ -12,12 +12,11 @@ import pytest
 
 from nht import cli, fixtures
 from nht.cli import run_command
-from nht.core import GeneratorSequence, gram_lag_sums, orthogonality_report
+from nht.core import ResidueSequence, gram_lag_sums, orthogonality_report
 from nht.correlation import circular_autocorr, pair_table
 from nht.search import search_seeds
 from nht.seqio import (
     MAX_MODULUS_BITS,
-    SequenceFile,
     emit_correlation_csv,
     write_text_atomic,
 )
@@ -52,8 +51,7 @@ def python_c(script):
 
 
 def seq_file(tmp_path, name, values, modulus=None):
-    sf = SequenceFile(name=name, n=len(values), values=tuple(values),
-                      modulus=modulus)
+    sf = ResidueSequence(values, modulus, name)
     path = tmp_path / f"{name}.seq"
     write_text_atomic(str(path), emit_sequence_file(sf))
     return str(path)
@@ -96,6 +94,21 @@ class TestVerify:
         report, _, err = run(["verify", "chain2"])
         assert report.exit_status == 2
         assert "no modulus" in err
+
+    @pytest.mark.parametrize("operand, prefix", [
+        ("chain2", "error: "),
+        ("missing.seq", "usage error: "),
+        ("zero.seq", "error: "),
+    ])
+    def test_bad_later_operand_prints_nothing(self, tmp_path, operand, prefix):
+        # Every operand is checked before example1's verdict is printed.
+        if operand == "zero.seq":
+            operand = seq_file(tmp_path, "zero", [0, 0], modulus=5)
+        elif operand == "missing.seq":
+            operand = str(tmp_path / operand)
+        report, out, err = run(["verify", "example1", operand])
+        assert (report.exit_status, out) == (2, "")
+        assert err.startswith(prefix)
 
 
 class TestCorrelationCommands:
@@ -615,7 +628,7 @@ class TestRecords:
         search = search_seeds([2], 16, prime_only=True)
         rows = [s.residue_sequence() for s in fixtures.example_rows(2)]
         return [
-            GeneratorSequence(sf.values), sf.residue_sequence(), sf,
+            ResidueSequence(sf.values), sf.residue_sequence(), sf,
             gram_lag_sums(sf.values), orthogonality_report(sf.residue_sequence()),
             circular_autocorr(sf.residue_sequence()), pair_table(rows)[0],
             calibration.raw.rows[0], calibration.raw, calibration,
@@ -624,7 +637,7 @@ class TestRecords:
 
     def test_every_record_is_immutable(self):
         records = self.records()
-        assert len({type(r).__name__ for r in records}) == 13
+        assert len({type(r).__name__ for r in records}) == 11
         for record in records:
             name = (getattr(record, "_fields", None) or record.__slots__)[0]
             before = getattr(record, name)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from nht import core
 from nht.core import (
     _TWO_POINT_BYTES,
-    GeneratorSequence,
     GramSummary,
     ResidueSequence,
     _evaluations,
@@ -120,15 +119,18 @@ def _brute_gram(values):
 class TestTypes:
     def test_generator_too_short(self):
         with pytest.raises(InvalidGeneratorError):
-            GeneratorSequence([5])
+            ResidueSequence([5])
 
     def test_generator_negative(self):
         with pytest.raises(InvalidGeneratorError):
-            GeneratorSequence([1, -2])
+            ResidueSequence([1, -2])
 
     def test_generator_all_zero(self):
-        with pytest.raises(InvalidGeneratorError):
-            GeneratorSequence([0, 0, 0])
+        # An all-zero row is a record; only a Gram needs a nonzero value.
+        assert ResidueSequence([0, 0, 0]).values == (0, 0, 0)
+        for use in (gram_lag_sums, evaluate_candidate):
+            with pytest.raises(InvalidGeneratorError):
+                use([0, 0, 0])
 
     def test_residue_out_of_range(self):
         with pytest.raises(InvalidGeneratorError):
@@ -142,11 +144,12 @@ class TestTypes:
         a, b = ResidueSequence([1, 2, 3], 5), ResidueSequence((1, 2, 3), 5)
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != ResidueSequence([1, 2, 3], 7)
-        assert GeneratorSequence([1, 2]) == GeneratorSequence((1, 2))
-        assert repr(a) == "ResidueSequence(values=(1, 2, 3), modulus=5)"
+        assert a != ResidueSequence([1, 2, 3], 5, "x")
+        assert ResidueSequence([1, 2]) == ResidueSequence((1, 2))
+        assert repr(a) == "ResidueSequence(values=(1, 2, 3), modulus=5, name=None)"
 
     def test_generator_never_equals_residue(self):
-        g, s = GeneratorSequence([1, 2, 3]), ResidueSequence([1, 2, 3], 5)
+        g, s = ResidueSequence([1, 2, 3]), ResidueSequence([1, 2, 3], 5)
         assert g.values == s.values
         assert g != s and s != g
         assert g != (1, 2, 3) and s != ((1, 2, 3), 5)

@@ -34,7 +34,7 @@ class TestSeries:
         series = circular_autocorr(ResidueSequence([1, 0, 0, 0, 0], 5))
         assert series.raw_sums == (1, 0, 0, 0, 0)
         assert series.residues == (1, 0, 0, 0, 0)
-        assert series.normalized[0] == Fraction(1, 5)
+        assert Fraction(series.residues[0], series.modulus) == Fraction(1, 5)
 
     def test_autocorr_is_self_crosscorr(self):
         s = fixture("example5").residue_sequence()

@@ -6,14 +6,14 @@ import stat
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nht.core import ResidueSequence
 from nht.correlation import PairTableRow, circular_autocorr
-from nht.errors import InvalidModulusError, SequenceFileError
+from nht.errors import InvalidGeneratorError, InvalidModulusError, SequenceFileError
 from nht.seqio import (
-    SequenceFile,
+    MAX_MODULUS_BITS,
     emit_correlation_csv,
     emit_pair_table_csv,
     load_sequence_file,
@@ -33,41 +33,70 @@ def sequence_files(draw):
     if draw(st.booleans()):
         q = draw(st.integers(2, 10**6))
         values = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
-        return SequenceFile(name=draw(names), n=n, values=tuple(values), modulus=q)
+        return ResidueSequence(values, q, draw(names))
     values = draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n))
-    return SequenceFile(name=draw(names), n=n, values=tuple(values))
+    return ResidueSequence(values, name=draw(names))
+
+
+CAP = 2**MAX_MODULUS_BITS
+
+
+@st.composite
+def file_fields(draw):
+    """(name, n, modulus, values, key order) of a sequence file, valid or not."""
+    modulus = draw(st.none() | st.integers(2, 50)
+                   | st.sampled_from([0, 1, -3, CAP - 1, CAP, CAP + 1]))
+    value = st.integers(-3, 60)
+    if modulus is not None:
+        value |= st.sampled_from([modulus - 1, modulus, modulus + 1])
+    values = draw(st.lists(value, max_size=6)
+                  | st.lists(st.just(0), min_size=2, max_size=4))
+    n = len(values) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    name = draw(names | st.sampled_from(["", "a b", "a\tb"]))
+    keys = ["name", "n", "values"] + ([] if modulus is None else ["modulus"])
+    return name, n, modulus, values, draw(st.permutations(keys))
+
+
+def file_text(name, n, modulus, values, order):
+    fields = {"name": name, "n": n, "modulus": modulus,
+              "values": " ".join(map(str, values))}
+    return "".join(f"{key}: {fields[key]}\n" for key in order)
 
 
 class TestSequenceFile:
     def test_rejects_residue_at_modulus(self):
+        with pytest.raises(InvalidGeneratorError):
+            ResidueSequence((1, 7), 7, "x")
         with pytest.raises(SequenceFileError):
-            SequenceFile(name="x", n=2, values=(1, 7), modulus=7)
+            parse_sequence_file("name: x\nn: 2\nmodulus: 7\nvalues: 1 7\n")
 
     def test_rejects_count_mismatch(self):
-        with pytest.raises(SequenceFileError):
-            SequenceFile(name="x", n=3, values=(1, 2))
+        with pytest.raises(SequenceFileError) as exc:
+            parse_sequence_file("name: x\nn: 3\nvalues: 1 2\n")
+        assert exc.value.line == 3
 
     def test_rejects_whitespace_name(self):
-        with pytest.raises(SequenceFileError):
-            SequenceFile(name="a b", n=2, values=(1, 2))
+        with pytest.raises(SequenceFileError) as exc:
+            parse_sequence_file("name: a b\nn: 2\nvalues: 1 2\n")
+        assert exc.value.line == 1
 
     def test_conversions(self):
-        sf = SequenceFile(name="x", n=2, values=(1, 2), modulus=5)
-        assert sf.residue_sequence() == ResidueSequence((1, 2), 5)
+        sf = ResidueSequence((1, 2), 5, "x")
+        assert sf.residue_sequence() is sf
+        assert sf.residue_sequence() == ResidueSequence((1, 2), 5, "x")
 
     def test_residue_row_built_once_outside_the_fields(self):
-        sf = SequenceFile(name="x", n=2, values=(1, 2), modulus=5)
-        twin = SequenceFile(name="x", n=2, values=(1, 2), modulus=5)
+        sf = ResidueSequence((1, 2), 5, "x")
+        twin = ResidueSequence((1, 2), 5, "x")
         before = repr(sf), pickle.dumps(sf)
-        row = sf.residue_sequence()
-        assert sf.residue_sequence() is row
+        assert sf.residue_sequence() is sf
         assert sf == twin and hash(sf) == hash(twin)
         assert (repr(sf), pickle.dumps(sf)) == before
         assert pickle.loads(pickle.dumps(sf)) == sf
 
     def test_residue_sequence_needs_modulus(self):
-        sf = SequenceFile(name="x", n=2, values=(1, 2))
-        with pytest.raises(InvalidModulusError):
+        sf = ResidueSequence((1, 2), name="x")
+        with pytest.raises(InvalidModulusError, match="sequence 'x' has no modulus"):
             sf.residue_sequence()
 
 
@@ -77,10 +106,39 @@ class TestParsing:
     def test_round_trip(self, sf):
         assert parse_sequence_file(emit_sequence_file(sf)) == sf
 
+    @given(file_fields())
+    @settings(deadline=None)
+    @example(("x", 2, 5, [1, -2], ["name", "n", "modulus", "values"]))
+    @example(("x", 2, 7, [1, 7], ["name", "n", "modulus", "values"]))
+    @example(("x", 2, 0, [0, 0], ["name", "n", "modulus", "values"]))
+    @example(("x", 2, 1, [0, 0], ["name", "n", "modulus", "values"]))
+    @example(("x", 2, -3, [0, 1], ["name", "n", "modulus", "values"]))
+    @example(("x", 2, CAP - 1, [1, 2], ["name", "n", "modulus", "values"]))
+    @example(("x", 2, CAP, [1, 2], ["name", "n", "modulus", "values"]))
+    @example(("x", 3, None, [1, 2], ["name", "n", "values"]))
+    @example(("a b", 2, None, [1, 2], ["name", "n", "values"]))
+    @example(("x", 3, None, [0, 0, 0], ["name", "n", "values"]))
+    def test_parse_returns_the_record_or_names_a_line(self, fields):
+        name, n, modulus, values, order = fields
+        text = file_text(*fields)
+        valid = (
+            name and not any(c.isspace() for c in name) and n == len(values)
+            and len(values) >= 2 and min(values) >= 0
+            and (modulus is None or 2 <= modulus < CAP and max(values) < modulus)
+        )
+        try:
+            sf = parse_sequence_file(text)
+        except SequenceFileError as exc:
+            assert not valid, text
+            assert 1 <= exc.line <= len(order), text
+        else:
+            assert valid, text
+            assert sf == ResidueSequence(values, modulus, name)
+
     def test_comments_and_blanks_ignored(self):
         text = "# a comment\n\nname: x\nn: 2\n\nvalues: 1 2\n"
         sf = parse_sequence_file(text)
-        assert sf == SequenceFile(name="x", n=2, values=(1, 2))
+        assert sf == ResidueSequence((1, 2), name="x")
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(SequenceFileError) as exc:
@@ -112,7 +170,7 @@ class TestParsing:
             parse_sequence_file("")
 
     def test_load_from_disk(self, tmp_path):
-        sf = SequenceFile(name="disk", n=3, values=(4, 5, 6), modulus=9)
+        sf = ResidueSequence((4, 5, 6), 9, "disk")
         path = tmp_path / "disk.seq"
         write_text_atomic(str(path), emit_sequence_file(sf))
         assert load_sequence_file(str(path)) == sf
