@@ -13,9 +13,10 @@ import argparse
 import functools
 import os
 import sys
+from fractions import Fraction
 from typing import IO, NamedTuple, Sequence
 
-from . import fixtures
+from . import fixtures, seqio
 from .core import ResidueSequence, orthogonality_report
 from .correlation import (
     Convention,
@@ -23,19 +24,12 @@ from .correlation import (
     PairTableRow,
     circular_crosscorr,
     expectation_measure,
-    expectation_string,
     pair_table,
     resolve_convention,
 )
 from .errors import NHTError
 from .modmath import is_prime
 from .search import search_seeds
-from .seqio import (
-    emit_correlation_csv,
-    emit_pair_table_csv,
-    load_sequence_file,
-    write_text_atomic,
-)
 
 # Widest --seeds range: each integer in it gets a primality test.
 MAX_SEED_RANGE = 100_000
@@ -149,7 +143,7 @@ def _load(token: str) -> ResidueSequence:
     if token in fixtures.BUNDLED:
         return fixtures.BUNDLED[token]
     if os.path.isfile(token):
-        return load_sequence_file(token)
+        return seqio.load_sequence_file(token)
     raise _UsageError(f"{token!r} is not a bundled sequence or a readable file")
 
 
@@ -176,7 +170,7 @@ def _pick_convention(name: str) -> tuple[Convention, str | None]:
 
 def _emit(text: str, out_path: str | None, stream: IO[str]) -> tuple[str, ...]:
     if out_path:
-        write_text_atomic(out_path, text)
+        seqio.write_text_atomic(out_path, text)
         return (out_path,)
     stream.write(text)
     return ()
@@ -236,7 +230,7 @@ def _correlation_report(ns, err, convention, note, outputs=()) -> RunReport:
 
 def _cmd_correlate(ns, out, err) -> RunReport:
     series, convention, note = _series(ns)
-    outputs = _emit(emit_correlation_csv(series), ns.out, out)
+    outputs = _emit(seqio.emit_correlation_csv(series), ns.out, out)
     return _correlation_report(ns, err, convention, note, outputs)
 
 
@@ -244,7 +238,7 @@ def _cmd_expect(ns, out, err) -> RunReport:
     series, convention, note = _series(ns)
     e = expectation_measure(series)
     print(
-        f"E({ns.a},{ns.b}) = {expectation_string(e)} "
+        f"E({ns.a},{ns.b}) = {seqio.decimal_string(e, 2)} "
         f"(exact {e.numerator}/{e.denominator}, modulus {series.modulus}, "
         f"{convention.value})",
         file=out,
@@ -279,18 +273,6 @@ def _check_seed_bits(seeds: list[int]) -> list[int]:
     return seeds
 
 
-def _search_csv(report) -> str:
-    out = ["seed,n,gcd,modulus,modulus_is_prime,diagonal_residue,normalizer,valid,values"]
-    for c in report.candidates:
-        r = "" if c.diagonal_residue is None else str(c.diagonal_residue)
-        w = "" if c.normalizer is None else str(c.normalizer)
-        vals = "" if c.reduced is None else " ".join(str(v) for v in c.reduced.values)
-        prime = "true" if c.modulus_is_prime else "false"
-        valid = "true" if c.valid else "false"
-        out.append(f"{c.seed},{c.n},{c.gcd},{c.modulus},{prime},{r},{w},{valid},{vals}")
-    return "\n".join(out) + "\n"
-
-
 def _cmd_search(ns, out, err) -> RunReport:
     if ns.n > MAX_CHAIN_LENGTH:
         raise _UsageError(f"--n {ns.n} is longer than {MAX_CHAIN_LENGTH}")
@@ -304,28 +286,11 @@ def _cmd_search(ns, out, err) -> RunReport:
     diagnostics = tuple(f"rejected: {reason}" for _, reason in report.rejected)
     for line in diagnostics:
         print(line, file=err)
-    outputs = _emit(_search_csv(report), ns.out, out)
+    outputs = _emit(seqio.emit_search_csv(report), ns.out, out)
     return RunReport(
         command="search", exit_status=0, inputs=(ns.seeds,),
         outputs=outputs, diagnostics=diagnostics,
     )
-
-
-def _float6(x) -> str:
-    return f"{float(x):.6f}"
-
-
-def _convention_csv(report) -> str:
-    out = ["convention,i,j,modulus,expectation,target,deviation"]
-    profiles = [report.raw] + ([report.scaled] if report.scaled else [])
-    for profile in profiles:
-        for row in profile.rows:
-            out.append(
-                f"{profile.convention.value},{row.i},{row.j},{row.modulus},"
-                f"{_float6(row.expectation)},{_float6(row.target)},"
-                f"{_float6(row.deviation)}"
-            )
-    return "\n".join(out) + "\n"
 
 
 @functools.cache
@@ -333,15 +298,14 @@ def _reproduction() -> tuple[str, int, str, tuple[tuple[str, str], ...]]:
     """reproduce's PASS/FAIL text, failure count, chosen convention and
     three (file name, CSV text) reports. They depend only on constant
     fixture data, so the checks run once per process, on first use."""
-    tolerance = 0.01
+    tolerance = Fraction(1, 100)
     lines: list[str] = []
 
     def check(ok: bool, label: str):
         lines.append(("PASS " if ok else "FAIL ") + label + "\n")
 
-    verification_lines = ["name,modulus,diagonal_residue,normalizer,self_orthogonal"]
-    for row in fixtures.example_rows(6):
-        report = orthogonality_report(row)
+    verdicts = [(row, orthogonality_report(row)) for row in fixtures.example_rows(6)]
+    for row, report in verdicts:
         zero = sum(1 for r in report.offdiag_residues if r == 0)
         check(
             report.is_self_orthogonal,
@@ -349,23 +313,18 @@ def _reproduction() -> tuple[str, int, str, tuple[tuple[str, str], ...]]:
             f"r={report.diagonal_residue} ({zero}/{len(report.offdiag_residues)} "
             f"lag residues zero)",
         )
-        w = "" if report.normalizer is None else str(report.normalizer)
-        ortho = "true" if report.is_self_orthogonal else "false"
-        verification_lines.append(
-            f"{row.name},{report.modulus},{report.diagonal_residue},{w},{ortho}"
-        )
 
     conv_report, table = _bundled_calibration()
     rejected = conv_report.rejected()
     rejected_note = (
-        f"vs {rejected.convention.value} {_float6(rejected.max_deviation)}"
+        f"vs {rejected.convention.value} {seqio.decimal_string(rejected.max_deviation, 6)}"
         if rejected else "no alternative applicable"
     )
-    chosen_profile = conv_report.profile(conv_report.chosen)
+    max_deviation = conv_report.profile(conv_report.chosen).max_deviation
     check(
-        float(chosen_profile.max_deviation) <= tolerance,
+        max_deviation <= tolerance,
         f"convention resolution: {conv_report.chosen.value} "
-        f"(max deviation {_float6(chosen_profile.max_deviation)} {rejected_note})",
+        f"(max deviation {seqio.decimal_string(max_deviation, 6)} {rejected_note})",
     )
 
     within = sum(
@@ -375,8 +334,8 @@ def _reproduction() -> tuple[str, int, str, tuple[tuple[str, str], ...]]:
     )
     check(
         within == len(table),
-        f"pair expectations: {within}/{len(table)} within {tolerance} "
-        f"under {conv_report.chosen.value}",
+        f"pair expectations: {within}/{len(table)} within "
+        f"{seqio.decimal_string(tolerance, 2)} under {conv_report.chosen.value}",
     )
 
     expected = {2: "example4", 3: "example3", 11: "example5", 13: "example6"}
@@ -400,9 +359,9 @@ def _reproduction() -> tuple[str, int, str, tuple[tuple[str, str], ...]]:
         sum(line.startswith("FAIL") for line in lines),
         conv_report.chosen.value,
         (
-            ("verification.csv", "\n".join(verification_lines) + "\n"),
-            ("pair_expectations.csv", emit_pair_table_csv(table)),
-            ("convention_profiles.csv", _convention_csv(conv_report)),
+            ("verification.csv", seqio.emit_verification_csv(verdicts)),
+            ("pair_expectations.csv", seqio.emit_pair_table_csv(table)),
+            ("convention_profiles.csv", seqio.emit_convention_csv(conv_report)),
         ),
     )
 
@@ -416,7 +375,7 @@ def _cmd_reproduce(ns, out, err) -> RunReport:
         paths = tuple(os.path.join(ns.out, fname) for fname, _ in reports)
     out.write(text)
     for path, (_, csv) in zip(paths, reports):
-        write_text_atomic(path, csv)
+        seqio.write_text_atomic(path, csv)
     return RunReport(
         command="reproduce", exit_status=1 if failures else 0,
         inputs=tuple(fixtures.BUNDLED), outputs=paths, convention=convention,

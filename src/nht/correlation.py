@@ -20,7 +20,9 @@ The expectation measure condenses a correlation series to one rational:
 
     E = sum_k residue(k) / (N * q)
 
-summed over all lags 0..N-1 and kept as an exact Fraction.
+summed over all lags 0..N-1 and kept as an exact Fraction. Every
+result here stays exact; nht.seqio.decimal_string is what prints one
+as a decimal.
 """
 
 from __future__ import annotations
@@ -136,13 +138,6 @@ def circular_autocorr(
 def expectation_measure(series: CorrelationSeries) -> Fraction:
     """E = sum of residues over all lags, divided by N * q. Exact, in [0, 1)."""
     return Fraction(sum(series.residues), series.length * series.modulus)
-
-
-def expectation_string(e: Fraction, digits: int = 2) -> str:
-    """Decimal form of an expectation, rounded half up."""
-    scaled = e * 10**digits
-    units = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    return f"{units // 10**digits}.{units % 10**digits:0{digits}d}"
 
 
 def pair_table(

@@ -56,14 +56,19 @@ class SearchReport(NamedTuple):
     rejected: tuple[tuple[int, str], ...]
 
 
-def doubling_chain(seed: int, n: int, start: int = 2) -> ResidueSequence:
-    """[seed, start, 2*start, ..., start * 2^(n-2)]."""
+def _check_chain(n: int, start: int) -> None:
+    """The rule on a chain's length and start, which every seed shares."""
     if n < 2:
         raise InvalidGeneratorError(f"chain length must be >= 2, got {n}")
-    if seed < 2:
-        raise InvalidGeneratorError(f"chain seed must be >= 2, got {seed}")
     if start < 1:
         raise InvalidGeneratorError(f"chain start must be >= 1, got {start}")
+
+
+def doubling_chain(seed: int, n: int, start: int = 2) -> ResidueSequence:
+    """[seed, start, 2*start, ..., start * 2^(n-2)]."""
+    _check_chain(n, start)
+    if seed < 2:
+        raise InvalidGeneratorError(f"chain seed must be >= 2, got {seed}")
     return ResidueSequence([seed] + [start << i for i in range(n - 1)])
 
 
@@ -156,16 +161,17 @@ def search_seeds(
     Each chain is evaluated as evaluate_candidate would, from its
     closed-form Gram summary (_chain_gram) in place of the kernel.
     Non-prime seeds are rejected with a diagnostic and processing
-    continues. Results depend only on the argument values, never on
-    evaluation order.
+    continues; n and start are checked first, so a bad one raises
+    InvalidGeneratorError whichever seeds are given. Results depend only
+    on the argument values, never on evaluation order.
     """
+    _check_chain(n, start)
     candidates = []
     rejected = []
     for seed in sorted(set(seeds)):
         if not is_prime(seed):
             rejected.append((seed, f"seed {seed} is not prime"))
             continue
-        # doubling_chain validates the arguments that _chain_gram trusts.
         chain = doubling_chain(seed, n, start)
         cand = _evaluate(chain, _chain_gram(seed, n, start), prime_only)
         if cand.valid or include_invalid:

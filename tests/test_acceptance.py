@@ -143,10 +143,10 @@ def test_criterion_05_convention_resolution(tmp_path):
     within = all(row.deviation <= TOLERANCE for row in chosen.rows)
     elapsed = time.perf_counter() - start
 
-    from nht.cli import _convention_csv
+    from nht.seqio import emit_convention_csv
 
     archive = tmp_path / "convention_profiles.csv"
-    archive.write_text(_convention_csv(report))
+    archive.write_text(emit_convention_csv(report))
     rejected = report.rejected()
     archived = (
         rejected is not None

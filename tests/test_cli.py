@@ -16,6 +16,7 @@ from nht.core import ResidueSequence, gram_lag_sums, orthogonality_report
 from nht.correlation import circular_autocorr, pair_table
 from nht.search import search_seeds
 from nht.seqio import (
+    MAX_FILE_VALUES,
     MAX_MODULUS_BITS,
     emit_correlation_csv,
     write_text_atomic,
@@ -141,6 +142,20 @@ class TestCorrelationCommands:
         # 16 lags plus header
         assert len(out.splitlines()) == 17
 
+    def test_normalized_rounds_exact_ties_up(self, tmp_path):
+        # 639/640 = 0.9984375 exactly; a float rounds it down to 0.998437.
+        a = seq_file(tmp_path, "a640", [639, 0], modulus=640)
+        b = seq_file(tmp_path, "b640", [1, 0], modulus=640)
+        report, out, _ = run(["xcorr", a, b])
+        assert report.exit_status == 0
+        assert out.splitlines()[1] == "0,639,639,0.998438"
+
+    def test_file_over_value_cap_prints_nothing(self, tmp_path):
+        path = seq_file(tmp_path, "long", [0] * (MAX_FILE_VALUES + 1), modulus=3)
+        report, out, err = run(["autocorr", path])
+        assert (report.exit_status, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_xcorr_length_mismatch(self, tmp_path):
         a = seq_file(tmp_path, "a3", [1, 2, 3], modulus=5)
         b = seq_file(tmp_path, "b2", [1, 2], modulus=5)
@@ -185,6 +200,16 @@ class TestSearch:
         assert out.splitlines()[1:] == []
         assert "seed 4 is not prime" in err
         assert report.diagnostics
+
+    @pytest.mark.parametrize("args", [
+        "--seeds 4 --n 1", "--seeds 4 --n -5", "--seeds 4 --n 16 --start 0",
+    ])
+    def test_chain_arguments_checked_before_any_seed(self, args):
+        # Seed 4 is not prime, so no chain is ever built from it.
+        report, out, err = run(["search"] + args.split())
+        assert report.exit_status == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_seed_range_expands_to_primes(self):
         report, out, _ = run(["search", "--seeds", "2..13", "--n", "16"])

@@ -13,11 +13,11 @@ from nht.correlation import (
     circular_autocorr,
     circular_crosscorr,
     expectation_measure,
-    expectation_string,
     pair_table,
     resolve_convention,
 )
 from nht.errors import ConventionError, InvalidModulusError, ShapeError
+from nht.seqio import decimal_string
 from oracles import fixture
 
 values_lists = st.lists(st.integers(0, 500), min_size=2, max_size=12)
@@ -102,12 +102,24 @@ class TestExpectation:
         assert 0 <= ab < 1
         assert ab == ba
 
-    def test_string_rounds_half_up(self):
-        assert expectation_string(Fraction(87, 100)) == "0.87"
-        assert expectation_string(Fraction(1, 8)) == "0.13"
-        assert expectation_string(Fraction(45834, 100000)) == "0.46"
-        assert expectation_string(Fraction(0)) == "0.00"
-        assert expectation_string(Fraction(1, 3), digits=4) == "0.3333"
+    # (x, digits, den, text): x / den rounded half up, exactly. 639/640 is
+    # 0.9984375, a seventh-digit tie that float formatting rounds down.
+    ROUNDING = [
+        (Fraction(87, 100), 2, 1, "0.87"),
+        (Fraction(1, 8), 2, 1, "0.13"),
+        (Fraction(45834, 100000), 2, 1, "0.46"),
+        (Fraction(0), 2, 1, "0.00"),
+        (Fraction(1, 3), 4, 1, "0.3333"),
+        (639, 6, 640, "0.998438"),
+        (0, 6, 1, "0.000000"),
+        (Fraction(3, 2), 2, 1, "1.50"),
+        (2**3072 - 2, 6, 2**3072 - 1, "1.000000"),
+    ]
+
+    @pytest.mark.parametrize("x, digits, den, text", ROUNDING,
+                             ids=[case[-1] for case in ROUNDING])
+    def test_string_rounds_half_up(self, x, digits, den, text):
+        assert decimal_string(x, digits, den) == text
 
 
 class TestPairTable:

@@ -190,6 +190,12 @@ class TestSearchSeeds:
         assert report.candidates == ()
         assert report.rejected == ((4, "seed 4 is not prime"),)
 
+    @pytest.mark.parametrize("n, start", [(1, 2), (16, 0)])
+    def test_chain_arguments_checked_before_any_seed(self, n, start):
+        # 4 is not prime, so a check made per chain would never run.
+        with pytest.raises(InvalidGeneratorError):
+            search_seeds([4], n, start=start)
+
     def test_input_order_does_not_matter(self):
         a = search_seeds([13, 2, 3, 11], 16, prime_only=True)
         b = search_seeds([2, 3, 11, 13], 16, prime_only=True)

@@ -13,6 +13,9 @@ from nht.core import ResidueSequence
 from nht.correlation import PairTableRow, circular_autocorr
 from nht.errors import InvalidGeneratorError, InvalidModulusError, SequenceFileError
 from nht.seqio import (
+    MAX_FILE_BITS,
+    MAX_FILE_CHARS,
+    MAX_FILE_VALUES,
     MAX_MODULUS_BITS,
     emit_correlation_csv,
     emit_pair_table_csv,
@@ -174,6 +177,47 @@ class TestParsing:
         path = tmp_path / "disk.seq"
         write_text_atomic(str(path), emit_sequence_file(sf))
         assert load_sequence_file(str(path)) == sf
+
+
+def row_text(n, bits):
+    """A file of n values (one q - 1, then zeros) under a bits-wide modulus."""
+    q = 3 if bits == 2 else 2 ** (bits - 1) + 1
+    return f"name: x\nn: {n}\nmodulus: {q}\nvalues: {q - 1}" + " 0" * (n - 1) + "\n"
+
+
+class TestFileCaps:
+    """Each cap on a file's size, tested from both sides."""
+
+    def test_value_count(self):
+        assert parse_sequence_file(row_text(MAX_FILE_VALUES, 2)).n == MAX_FILE_VALUES
+        with pytest.raises(SequenceFileError, match="more than") as exc:
+            parse_sequence_file(row_text(MAX_FILE_VALUES + 1, 2))
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("n, bits, ok", [
+        (1024, 3072, True), (1025, 3072, False), (4096, 3072, False),
+        (MAX_FILE_VALUES, 48, True), (MAX_FILE_VALUES, 49, False),
+        (4327, 727, False),  # one bit over the cap
+    ])
+    def test_values_times_modulus_bits(self, n, bits, ok):
+        assert (n * bits <= MAX_FILE_BITS) == ok
+        text = row_text(n, bits)
+        if ok:
+            assert parse_sequence_file(text).n == n
+        else:
+            with pytest.raises(SequenceFileError, match="modulus width") as exc:
+                parse_sequence_file(text)
+            assert exc.value.line == 3
+
+    def test_text_length(self, tmp_path):
+        text = row_text(2, 2)
+        text += "#" * (MAX_FILE_CHARS - len(text) - 1) + "\n"
+        assert len(text) == MAX_FILE_CHARS
+        assert parse_sequence_file(text).n == 2
+        path = tmp_path / "long.seq"
+        path.write_text(text + "\n")
+        with pytest.raises(SequenceFileError, match="longer than"):
+            load_sequence_file(str(path))
 
 
 class TestAtomicWrite:
