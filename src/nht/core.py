@@ -15,25 +15,28 @@ integers: the diagonal value sum(g(j)^2) and, for each lag k in
 Whenever a modulus q >= 2 divides every S(k), the matrix satisfies
 N * N^T == r * I (mod q) with r = diagonal mod q, which is what makes
 the forward/inverse block transforms below exact inverses of each other.
-That verdict (off-diagonal residues, r, and the normalizer w when r != 0)
-is computed in one place, _verdict, for both orthogonality_report and
-the chain search.
+That verdict (off-diagonal residues, r, and the normalizer w of a
+self-orthogonal row with r != 0) is computed in one place, _verdict, for
+both orthogonality_report and search.evaluate_candidate.
 
-The lag sums, the modular correlation series and both block transforms
-are cyclic correlations, all computed by one exact kernel,
-cyclic_correlate (Kronecker substitution: big-integer multiplies of the
-packed operands). Its slots are the fewest whole bytes that hold every
-sum. Slots of at most 8 bytes (every residue-sized input) are packed and
-unpacked through 8-byte struct lanes, a handful of C calls in place of
-one Python call per value; wider slots (raw chain Grams) convert one
+The Gram follows its input, in gram_lag_sums alone: a row of integers
+shaped like a doubling chain, [s, a, 2a, ..., a * 2^(n-2)], has its lag
+sums in closed form (_chain_gram). Any other row's lag sums, the modular
+correlation series and both block transforms are cyclic correlations,
+all computed by one exact kernel, cyclic_correlate (Kronecker
+substitution: big-integer multiplies of the packed operands). Its slots
+are the fewest whole bytes that hold every sum. Slots of at most 8 bytes
+(every residue-sized input) are packed and unpacked through 8-byte
+struct lanes, a handful of C calls in place of one Python call per
+value; wider slots (wide moduli, raw rows of large values) convert one
 value at a time. Slots are not widened to 8 bytes, since the longer
 operands slow the multiply. Below _TWO_POINT_BYTES per packed operand
-(the bundled n = 16 rows, and n = 64 chain Grams with start 2) the
-kernel multiplies once. From there up (transforms at n = 512, long chain
-Grams) it uses Harvey's multipoint Kronecker substitution: each operand
-is evaluated at +2^(4w) and -2^(4w), and the two products, each of
-about half the bits, give the even and the odd coefficients. The table
-beside that constant shows where this starts to pay.
+(the bundled n = 16 rows) the kernel multiplies once. From there up
+(transforms at n = 512, verify of long rows of wide values) it uses
+Harvey's multipoint Kronecker substitution: each operand is evaluated at
++2^(4w) and -2^(4w), and the two products, each of about half the bits,
+give the even and the odd coefficients. The table beside that constant
+shows where this starts to pay.
 
 A transform packs the generator once per row: _plan, a bounded cache
 keyed on the row, the direction and the scale, holds the slot width
@@ -273,7 +276,7 @@ def cyclic_correlate(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
     w is the fewest whole bytes that fit, so residue-sized inputs get
     slots of at most 8 bytes and pack through struct lanes (see _pack);
-    wider slots, such as raw chain Grams, pack one value at a time. w is
+    wider slots, such as wide moduli, pack one value at a time. w is
     not rounded up to 8: the longer operands make the multiply, which
     dominates at large n, over twice as slow.
     """
@@ -296,10 +299,52 @@ def gram_lag_sums(g: ResidueSequence | Sequence[int]) -> GramSummary:
 
     Equivalent to reading N * N^T off the full matrix product: the
     generator's cyclic self-correlation, whose lag 0 is the diagonal.
+    The values pick the method: integers shaped [s, a, 2a, ..., a *
+    2^(n-2)] (every doubling chain, every 2-value row) take the closed
+    form, _chain_gram; any other row takes the kernel. The first and
+    last values must be ints by type, and (2).__mul__ gives
+    NotImplemented for any value between that is no integer, so a row
+    holding a float or a Fraction fails the shape test and the kernel
+    refuses it.
     """
-    g = _generator(g)
-    c = cyclic_correlate(g.values, g.values)
+    v = _generator(g).values
+    if type(v[0]) is type(v[-1]) is int and v[2:] == tuple(map((2).__mul__, v[1:-1])):
+        return _chain_gram(v[0], len(v), v[1])
+    c = cyclic_correlate(v, v)
     return GramSummary(c[0], tuple(c[1:]))
+
+
+def _chain_gram(seed: int, n: int, start: int) -> GramSummary:
+    """The Gram summary of [seed, start, 2*start, ..., start * 2^(n-2)],
+    in closed form.
+
+    Write s = seed, a = start and g = [s, a, 2a, ..., a * 2^(n-2)], so
+    g(0) = s and g(j) = a * 2^(j-1) for j >= 1. For a lag k in 1..n-1,
+    S(k) = sum_j g(j) * g((j + k) mod n) has three parts:
+
+    - the two terms holding s, at j = 0 and j = n - k:
+      s * a * (2^(k-1) + 2^(n-k-1)) = s * a * x(k) / 2,
+      with x(k) = 2^k + 2^(n-k);
+    - the unwrapped terms, j = 1..n-k-1, a geometric run of ratio 4:
+      a^2 * 2^k * (4^(n-k-1) - 1) / 3;
+    - the wrapped terms, j + k - n = i for i = 1..k-1, likewise:
+      a^2 * 2^(n-k) * (4^(k-1) - 1) / 3.
+
+    The last two add up to a^2 * x(k) * (2^(n-2) - 1) / 3, so
+
+        S(k) = x(k) * T / 12,   T = a * (6s + a * (2^n - 4)),
+
+    where each quotient is exact because S(k) is an integer. x(k) =
+    x(n-k), so only half the lags are computed. The diagonal is s^2 plus
+    one run of ratio 4: s^2 + a^2 * (4^(n-1) - 1) / 3.
+
+    The kernel packs these wide values one at a time: it was about a
+    quarter of a median n = 64 search (Python 3.11, 2 vCPUs).
+    """
+    t = start * (6 * seed + start * ((1 << n) - 4))
+    half = [((t << k) + (t << (n - k))) // 12 for k in range(1, n // 2 + 1)]
+    diagonal = seed * seed + start * start * ((1 << 2 * (n - 1)) - 1) // 3
+    return GramSummary(diagonal, tuple(half + half[:(n - 1) // 2][::-1]))
 
 
 def discover_modulus(gram: GramSummary) -> int:
@@ -342,12 +387,14 @@ def reduce_mod(seq, q: int) -> ResidueSequence:
 def _verdict(gram: GramSummary, q: int, prime: bool | None = None) -> OrthogonalityReport:
     """Reduce a Gram summary mod q: offdiag residues, r and its normalizer.
 
-    prime is q's primality when the caller already knows it, so that q is
-    tested at most once; None leaves the test to normalizer.
+    w is computed, and q tested for primality, only for a self-orthogonal
+    row with r != 0; any other row has normalizer None. prime is q's
+    primality when the caller already knows it, so that q is tested at
+    most once; None leaves the test to normalizer.
     """
     offdiag = tuple(v % q for v in gram.lag_sums)
     r = gram.diagonal % q
-    if not r:
+    if not r or any(offdiag):
         w = None
     elif prime is None:
         w = normalizer(r, q)
@@ -358,6 +405,7 @@ def _verdict(gram: GramSummary, q: int, prime: bool | None = None) -> Orthogonal
 
 def orthogonality_report(s: ResidueSequence) -> OrthogonalityReport:
     """Check one residue sequence for self-orthogonality mod its modulus."""
+    s = s.residue_sequence()
     return _verdict(gram_lag_sums(s), s.modulus)
 
 
@@ -399,7 +447,7 @@ def forward_transform(s: ResidueSequence, block: Sequence[int]) -> tuple[int, ..
     Row i of N holds generator value t at column i + 2t (mod 2n), so the
     output is two cyclic correlations: v with the even and the odd half of F.
     """
-    return _transform(s, block, False, 1)
+    return _transform(s.residue_sequence(), block, False, 1)
 
 
 def inverse_transform(
@@ -411,4 +459,5 @@ def inverse_transform(
     invertible mod q or there is nothing to undo. N^T holds value t at
     column i - 2t: the forward correlations with the generator reversed.
     """
+    s = s.residue_sequence()
     return _transform(s, block, True, mod_inverse(diagonal, s.modulus))

@@ -132,7 +132,7 @@ def circular_autocorr(
     s: ResidueSequence, convention: Convention = Convention.RAW
 ) -> CorrelationSeries:
     """Correlate a residue sequence with itself, mod its own modulus."""
-    return circular_crosscorr(s, s, s.modulus, convention)
+    return circular_crosscorr(s, s, s.residue_sequence().modulus, convention)
 
 
 def expectation_measure(series: CorrelationSeries) -> Fraction:
@@ -155,18 +155,18 @@ def pair_table(
     lengths = {s.n for s in seqs}
     if len(lengths) != 1:
         raise ShapeError(f"mixed sequence lengths: {sorted(lengths)}")
+    moduli = [s.residue_sequence().modulus for s in seqs]
     count = len(seqs)
     expectations: dict[tuple[int, int], Fraction] = {}
     for i in range(1, count + 1):
         for j in range(1, count + 1):
             if i == j:
                 continue
-            q = seqs[i - 1].modulus
-            series = circular_crosscorr(seqs[i - 1], seqs[j - 1], q, convention)
+            series = circular_crosscorr(seqs[i - 1], seqs[j - 1], moduli[i - 1], convention)
             expectations[(i, j)] = expectation_measure(series)
     lo, hi = COMPLEMENTARY_BAND
     return [
-        PairTableRow(i, j, seqs[i - 1].modulus, e, lo <= e + expectations[(j, i)] <= hi)
+        PairTableRow(i, j, moduli[i - 1], e, lo <= e + expectations[(j, i)] <= hi)
         for (i, j), e in sorted(expectations.items())
     ]
 
@@ -199,7 +199,8 @@ def resolve_convention(
         if not (1 <= i <= len(seqs) and 1 <= j <= len(seqs)) or i == j:
             raise ShapeError(f"target pair ({i}, {j}) out of range")
     measured = [
-        ((i, j), t, circular_crosscorr(seqs[i - 1], seqs[j - 1], seqs[i - 1].modulus))
+        ((i, j), t, circular_crosscorr(seqs[i - 1], seqs[j - 1],
+                                       seqs[i - 1].residue_sequence().modulus))
         for (i, j), t in sorted(targets.items())
     ]
     raw = _profile(measured, Convention.RAW)

@@ -10,10 +10,11 @@ bundled example row is reproduced by this pipeline; the chain gcds
 themselves are composite, so prime-only selection is what recovers the
 bundled (prime) moduli.
 
-evaluate_candidate takes any generator and computes its Gram with core's
-correlation kernel. search_seeds only evaluates doubling chains, whose
-Gram has a closed form (_chain_gram), so it skips the kernel; the
-verdict still re-checks every lag sum against the chosen modulus.
+evaluate_candidate is the one evaluator: it takes any generator, and
+search_seeds calls it on each prime seed's chain. This module holds no
+Gram math: core's gram_lag_sums takes the closed form for a chain and
+the correlation kernel for any other row, and the verdict re-checks
+every lag sum against the chosen modulus.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
-    GramSummary,
     ResidueSequence,
     _generator,
     _verdict,
@@ -72,40 +72,6 @@ def doubling_chain(seed: int, n: int, start: int = 2) -> ResidueSequence:
     return ResidueSequence([seed] + [start << i for i in range(n - 1)])
 
 
-def _chain_gram(seed: int, n: int, start: int) -> GramSummary:
-    """gram_lag_sums(doubling_chain(seed, n, start)), in closed form.
-
-    Write s = seed, a = start and g = [s, a, 2a, ..., a * 2^(n-2)], so
-    g(0) = s and g(j) = a * 2^(j-1) for j >= 1. For a lag k in 1..n-1,
-    S(k) = sum_j g(j) * g((j + k) mod n) has three parts:
-
-    - the two terms holding s, at j = 0 and j = n - k:
-      s * a * (2^(k-1) + 2^(n-k-1)) = s * a * x(k) / 2,
-      with x(k) = 2^k + 2^(n-k);
-    - the unwrapped terms, j = 1..n-k-1, a geometric run of ratio 4:
-      a^2 * 2^k * (4^(n-k-1) - 1) / 3;
-    - the wrapped terms, j + k - n = i for i = 1..k-1, likewise:
-      a^2 * 2^(n-k) * (4^(k-1) - 1) / 3.
-
-    The last two add up to a^2 * x(k) * (2^(n-2) - 1) / 3, so
-
-        S(k) = x(k) * T / 12,   T = a * (6s + a * (2^n - 4)),
-
-    where each quotient is exact because S(k) is an integer. x(k) =
-    x(n-k), so only half the lags are computed. The diagonal is s^2 plus
-    one run of ratio 4: s^2 + a^2 * (4^(n-1) - 1) / 3.
-
-    The kernel packs these wide values one at a time: it was about a
-    quarter of a median n = 64 search (Python 3.11, 2 vCPUs).
-    """
-    t = start * (6 * seed + start * ((1 << n) - 4))
-    half = [((t << k) + (t << (n - k))) // 12 for k in range(1, n // 2 + 1)]
-    return GramSummary(
-        diagonal=seed * seed + start * start * ((1 << 2 * (n - 1)) - 1) // 3,
-        lag_sums=tuple(half + half[:(n - 1) // 2][::-1]),
-    )
-
-
 def evaluate_candidate(
     raw: ResidueSequence | Sequence[int], prime_only: bool = False
 ) -> SearchCandidate:
@@ -117,11 +83,7 @@ def evaluate_candidate(
     modulus rather than trusting the discovery step, and supplies r and w.
     """
     raw = _generator(raw)
-    return _evaluate(raw, gram_lag_sums(raw), prime_only)
-
-
-def _evaluate(raw: ResidueSequence, gram: GramSummary, prime_only: bool) -> SearchCandidate:
-    """evaluate_candidate for a generator whose Gram summary is known."""
+    gram = gram_lag_sums(raw)
     seed = raw.values[0]
     g = discover_modulus(gram)
     if g < 2:
@@ -158,12 +120,12 @@ def search_seeds(
 ) -> SearchReport:
     """Evaluate the doubling chain of every prime seed, ascending.
 
-    Each chain is evaluated as evaluate_candidate would, from its
-    closed-form Gram summary (_chain_gram) in place of the kernel.
-    Non-prime seeds are rejected with a diagnostic and processing
-    continues; n and start are checked first, so a bad one raises
-    InvalidGeneratorError whichever seeds are given. Results depend only
-    on the argument values, never on evaluation order.
+    Each chain is evaluated by evaluate_candidate, whose Gram summary
+    takes core's closed form for a chain. Non-prime seeds are rejected
+    with a diagnostic and processing continues; n and start are checked
+    first, so a bad one raises InvalidGeneratorError whichever seeds are
+    given. Results depend only on the argument values, never on
+    evaluation order.
     """
     _check_chain(n, start)
     candidates = []
@@ -172,8 +134,7 @@ def search_seeds(
         if not is_prime(seed):
             rejected.append((seed, f"seed {seed} is not prime"))
             continue
-        chain = doubling_chain(seed, n, start)
-        cand = _evaluate(chain, _chain_gram(seed, n, start), prime_only)
+        cand = evaluate_candidate(doubling_chain(seed, n, start), prime_only)
         if cand.valid or include_invalid:
             candidates.append(cand)
     return SearchReport(candidates=tuple(candidates), rejected=tuple(rejected))

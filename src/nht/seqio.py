@@ -51,7 +51,8 @@ MAX_MODULUS_BITS = 3072
 # of 3,072 bits). A command's work grows with both: on 2 vCPUs (Python
 # 3.11), autocorr took 0.2 s at n = 65,536 with q = 3, 1.7 s at 65,536 x 48
 # bits, 2.0 s at 65,536 x 61 bits (over the cap), 1.3 s at 1,024 x 3,072
-# bits, where verify took 2.6 s, and 7.8 s at 4,096 x 3,072 (over the cap).
+# bits, where verify of a row that is not self-orthogonal took 1.2 s, and
+# 7.8 s at 4,096 x 3,072 (over the cap).
 MAX_FILE_VALUES = 65_536
 MAX_FILE_BITS = 3_145_728
 # Longest file text. A raw row (no modulus) has no width cap, and parsing

@@ -6,6 +6,7 @@ never builds the circulant; these plain loops and full matrix products
 are what it is checked against.
 """
 
+from nht.core import GramSummary, cyclic_correlate
 from nht.fixtures import BUNDLED
 
 
@@ -31,6 +32,14 @@ def naive_correlate(a, b):
     """c[k] = sum_m a[m] * b[(m + k) mod n], one lag at a time."""
     n = len(a)
     return [sum(a[m] * b[(m + k) % n] for m in range(n)) for k in range(n)]
+
+
+def kernel_gram(g):
+    """The Gram summary of a generator (a record or a list) from the
+    correlation kernel alone, never from the closed form for chains."""
+    values = getattr(g, "values", g)
+    c = cyclic_correlate(values, values)
+    return GramSummary(c[0], tuple(c[1:]))
 
 
 def diagonal_residue(values, q):

@@ -194,6 +194,14 @@ class TestSearch:
         for cell, name in zip(values, expected):
             assert cell == " ".join(str(v) for v in fixture(name).values)
 
+    def test_chains_at_the_length_cap_are_all_valid(self):
+        # The widest chains the CLI takes: 25 prime seeds at n = 1,024.
+        report, out, _ = run(["search", "--seeds", "2..100", "--n", "1024"])
+        assert report.exit_status == 0
+        lines = out.splitlines()
+        assert len(lines) == 26 and lines[0].split(",")[7] == "valid"
+        assert all(line.split(",")[7] == "true" for line in lines[1:])
+
     def test_rejected_seed_diagnostic(self):
         report, out, err = run(["search", "--seeds", "4", "--n", "16"])
         assert report.exit_status == 0

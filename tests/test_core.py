@@ -26,6 +26,7 @@ from nht.core import (
     orthogonality_report,
     reduce_mod,
 )
+from nht.correlation import circular_autocorr, pair_table, resolve_convention
 from nht.errors import (
     InvalidGeneratorError,
     InvalidModulusError,
@@ -34,7 +35,8 @@ from nht.errors import (
 )
 from nht.search import doubling_chain, evaluate_candidate
 from oracles import (
-    circulant_rows, diagonal_residue, fixture, matrix_gram, naive_correlate,
+    circulant_rows, diagonal_residue, fixture, kernel_gram, matrix_gram,
+    naive_correlate,
 )
 
 generators = st.lists(st.integers(0, 2**16 - 1), min_size=2, max_size=8).filter(any)
@@ -327,6 +329,48 @@ class TestGram:
                 assert full[i][j] == expected
 
 
+chains = st.builds(
+    lambda s, a, n: [s] + [a << i for i in range(n - 1)],
+    st.integers(0, 2**64), st.integers(0, 2**64), st.integers(2, 130),
+).filter(any)
+
+
+class TestGramForm:
+    """gram_lag_sums takes the closed form for chain-shaped rows and the
+    kernel for every other; both give the kernel's self-correlation."""
+
+    @given(st.one_of(chains, generators))
+    @example([5, 0, 0])
+    @example([0, 7])
+    @example([2**64, 2**64, 2**65])
+    @example([3, 1, 2, 5])  # chain-shaped up to its last value
+    @example([3, 2, 4, 8, 0])
+    @settings(deadline=None, max_examples=300)
+    def test_equals_the_kernel_for_every_generator(self, values):
+        assert gram_lag_sums(values) == kernel_gram(values)
+
+    @pytest.mark.parametrize("values", [
+        [2.5, 2, 4, 8],
+        [Fraction(5, 2), 2, 4],
+        [2, 2, 4, 8.0],
+        [2, 2.0, 4],
+        [2, 2.0],
+        [2.0, 2],
+    ])
+    def test_non_integer_values_are_invalid(self, values):
+        with pytest.raises(InvalidGeneratorError):
+            gram_lag_sums(values)
+
+    def test_chains_skip_the_kernel(self, monkeypatch):
+        def no_kernel(a, b):
+            raise AssertionError("cyclic_correlate called")
+
+        expected = kernel_gram(doubling_chain(19, 512))
+        monkeypatch.setattr(core, "cyclic_correlate", no_kernel)
+        assert gram_lag_sums(doubling_chain(19, 512)) == expected
+        assert gram_lag_sums([9, 4]) == GramSummary(97, (72,))
+
+
 class TestDiscoverModulus:
     def test_small_case(self):
         assert discover_modulus(gram_lag_sums([2, 3, 0, 0])) == 6
@@ -571,6 +615,25 @@ class TestTransformPlans:
         forward_transform(ResidueSequence(list(self.VALUES), 101), block)
         assert _plan.cache_info().hits == 1
         assert _plan.cache_info().currsize == 1
+
+
+class TestRecordWithNoModulus:
+    """A row read as residues needs a modulus; residue_sequence() says so."""
+
+    ROW = ResidueSequence([1, 2, 3, 4])
+
+    @pytest.mark.parametrize("use", [
+        lambda s: orthogonality_report(s),
+        lambda s: forward_transform(s, [0] * 8),
+        lambda s: inverse_transform(s, [0] * 8, 1),
+        lambda s: circular_autocorr(s),
+        lambda s: pair_table([s, s]),
+        lambda s: resolve_convention([s, s], {(1, 2): Fraction(1, 2)}),
+    ], ids=["orthogonality_report", "forward_transform", "inverse_transform",
+            "circular_autocorr", "pair_table", "resolve_convention"])
+    def test_public_functions_raise_invalid_modulus(self, use):
+        with pytest.raises(InvalidModulusError, match="has no modulus"):
+            use(self.ROW)
 
 
 class TestOrthogonalityReport:

@@ -1,6 +1,7 @@
 """Doubling chains, candidate evaluation, seed search."""
 
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,15 +9,11 @@ from hypothesis import strategies as st
 
 from nht import core, modmath, search
 from nht.cli import run_command
+from nht.core import ResidueSequence, _chain_gram
 from nht.errors import InvalidGeneratorError
 from nht.modmath import is_prime
-from nht.search import (
-    _chain_gram,
-    doubling_chain,
-    evaluate_candidate,
-    search_seeds,
-)
-from oracles import fixture
+from nht.search import doubling_chain, evaluate_candidate, search_seeds
+from oracles import fixture, kernel_gram
 
 REFERENCE_ROWS = {2: ("example4", 331), 3: ("example3", 3121),
              11: ("example5", 47), 13: ("example6", 1987)}
@@ -56,7 +53,8 @@ class TestChainGram:
     @settings(deadline=None, max_examples=200)
     def test_closed_form_matches_kernel(self, seed, n, start):
         gram = _chain_gram(seed, n, start)
-        assert gram == core.gram_lag_sums(doubling_chain(seed, n, start))
+        chain = doubling_chain(seed, n, start)
+        assert gram == kernel_gram(chain) == core.gram_lag_sums(chain)
         t = _chain_t(seed, n, start)
         for k, lag_sum in enumerate(gram.lag_sums, 1):
             x = 2**k + 2 ** (n - k)
@@ -80,7 +78,7 @@ class TestChainGram:
         u = 4 if n == 2 else 6 if n % 2 else 2
         chain = doubling_chain(seed, n, start)
         assert u * _chain_t(seed, n, start) // 12 == core.discover_modulus(
-            core.gram_lag_sums(chain))
+            kernel_gram(chain))
 
 
 class TestEvaluateCandidate:
@@ -211,17 +209,47 @@ class TestSearchSeeds:
     def test_candidates_match_the_kernel_path(self, seeds, n, start, prime_only):
         report = search_seeds(seeds, n, prime_only=prime_only, start=start)
         primes = sorted(s for s in seeds if is_prime(s))
-        assert report.candidates == tuple(
-            evaluate_candidate(doubling_chain(s, n, start), prime_only) for s in primes
-        )
+        with mock.patch.object(search, "gram_lag_sums", kernel_gram):
+            expected = tuple(
+                evaluate_candidate(doubling_chain(s, n, start), prime_only) for s in primes
+            )
+        assert report.candidates == expected
 
     def test_search_uses_the_closed_form_not_the_kernel(self, monkeypatch):
-        def no_kernel(g):
-            raise AssertionError("gram_lag_sums called")
+        def no_kernel(a, b):
+            raise AssertionError("cyclic_correlate called")
 
         expected = search_seeds([2, 3, 11, 13], 16, prime_only=True)
-        monkeypatch.setattr(search, "gram_lag_sums", no_kernel)
+        monkeypatch.setattr(core, "cyclic_correlate", no_kernel)
         assert search_seeds([2, 3, 11, 13], 16, prime_only=True) == expected
+
+    def test_each_prime_seed_is_evaluated_once(self, monkeypatch):
+        evaluated = []
+
+        def counting(raw, prime_only=False):
+            evaluated.append(raw.values[0])
+            return evaluate_candidate(raw, prime_only)
+
+        monkeypatch.setattr(search, "evaluate_candidate", counting)
+        report = search_seeds([2, 4, 3, 9, 13], 16)
+        assert evaluated == [2, 3, 13] == [c.seed for c in report.candidates]
+
+    @given(
+        st.sets(st.integers(2, 200), min_size=1, max_size=4),
+        st.integers(2, 79),
+        st.integers(1, 39),
+        st.booleans(),
+    )
+    @example({2, 3, 5, 7}, 2, 1, False)
+    @example({197, 199}, 79, 39, True)
+    @settings(deadline=None, max_examples=60)
+    def test_chain_rows_are_valid_by_construction(self, seeds, n, start, prime_only):
+        # A chain's gcd is u_n * T / 12 >= 2 (every 2^k + 2^(n-k) is even
+        # and T >= 6s >= 12), and a modulus dividing it zeroes every lag.
+        report = search_seeds(seeds, n, prime_only=prime_only, start=start)
+        assert all(c.valid for c in report.candidates)
+        assert search_seeds(seeds, n, prime_only=prime_only, start=start,
+                            include_invalid=False) == report
 
     def test_valid_only_filter(self):
         full = search_seeds([2, 3], 16)
@@ -262,6 +290,13 @@ class TestOnePrimalityTestPerModulus:
         c = evaluate_candidate(doubling_chain(2, 16))
         assert not c.modulus_is_prime and c.normalizer is None
         assert tested.count(c.modulus) == 1
+
+    def test_non_orthogonal_row_is_not_tested(self, tested):
+        # S(1) = S(2) = 8 = 1 mod 7; r = 9 = 2 mod 7, a square (3^2).
+        report = core.orthogonality_report(ResidueSequence([1, 2, 2], 7))
+        assert not report.is_self_orthogonal and report.diagonal_residue == 2
+        assert report.normalizer is None
+        assert tested == []
 
     def test_normalizer_and_verify(self, tested):
         assert core.normalizer(4, 331) == 166
